@@ -75,15 +75,3 @@ def region_counts(regions: ConsensusRegions) -> dict[int, dict[str, int]]:
         for c, r in regions.per_class.items()
     }
 
-
-def regions_to_label_volume(regions: ConsensusRegions, class_id: int) -> LabelVolume:
-    """Export one class's partition as a label map for visual audit.
-
-    Encoding: 0 = background consensus, 1 = dissensus, 2 = foreground
-    consensus.
-    """
-    r = regions.per_class[class_id]
-    out = np.zeros(regions.geometry.dims, dtype=np.uint8)
-    out[r.dissensus.to_bool(regions.geometry.dims)] = 1
-    out[r.fg.to_bool(regions.geometry.dims)] = 2
-    return LabelVolume(regions.geometry, out)

@@ -114,9 +114,6 @@ class ProbabilityVolume:
             raise ValidationError(f"probability channels must be floating, got {c.dtype}")
         c.flags.writeable = False  # volumes are immutable once built
 
-    def class_channel(self, class_id: int) -> np.ndarray:
-        return self.channels[class_id]
-
 
 def validate_probability_sums(
     channels: np.ndarray, tolerance: float = CHANNEL_SUM_TOLERANCE, renormalize: bool = False
@@ -125,7 +122,7 @@ def validate_probability_sums(
 
     Returns the (possibly renormalized) channel array. Raises
     ChannelSumError naming the worst offending voxel; renormalization is
-    opt-in and never silent for zero-sum or non-finite voxels.
+    opt-in and rejects non-finite values and the first zero-sum voxel.
     """
     from .errors import ChannelSumError
 
@@ -139,12 +136,12 @@ def validate_probability_sums(
         idx = where(np.argmax(channels < 0.0), channels.shape)
         raise ChannelSumError(f"negative probability {channels[idx]:.6g} at channel/voxel {idx}")
     sums = channels.sum(axis=0, dtype=np.float64)
-    err = np.abs(sums - 1.0)
-    worst = int(np.argmax(err))
     if renormalize:
         # division also brings >1 values back into range (p <= sum always)
-        if err.flat[worst] > 0 and sums.flat[worst] <= 0:
-            raise ChannelSumError(f"cannot renormalize zero-sum voxel {where(worst, sums.shape)}")
+        zero = sums <= 0
+        if zero.any():
+            idx = where(np.argmax(zero), sums.shape)
+            raise ChannelSumError(f"cannot renormalize zero-sum voxel {idx}")
         out = channels / sums[np.newaxis].astype(channels.dtype)
         return out.astype(channels.dtype, copy=False)
     if channels.size and channels.max() > 1.0:
@@ -152,6 +149,8 @@ def validate_probability_sums(
         raise ChannelSumError(
             f"probability {channels[idx]:.6g} outside [0, 1] at channel/voxel {idx}"
         )
+    err = np.abs(sums - 1.0)
+    worst = int(np.argmax(err))
     if err.flat[worst] > tolerance:
         raise ChannelSumError(
             f"probability channels sum to {sums.flat[worst]:.6f} at voxel {where(worst, sums.shape)} "

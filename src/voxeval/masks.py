@@ -45,9 +45,3 @@ class PackedMask:
             and np.array_equal(self.bits, other.bits)
         )
 
-
-def packed_or(*masks: PackedMask) -> PackedMask:
-    bits = masks[0].bits.copy()
-    for m in masks[1:]:
-        bits |= m.bits
-    return PackedMask(masks[0].n_voxels, bits)

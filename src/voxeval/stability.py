@@ -7,20 +7,29 @@ as mean/std/median rank, a +-1.96 sigma interval, and the
 rank-frequency distribution behind bubble plots.
 
 Reproducibility: iteration i draws its indices from numpy's PCG64
-seeded with SeedSequence((seed, i)), so serial and parallel runs agree
-bit-exactly and any other implementation of the same scheme can match
-the numbers.
+seeded with SeedSequence((seed, i)), so any other implementation of the
+same scheme can match the numbers exactly.
+
+Design: the resample indices of all iterations are drawn first into one
+(iterations, n_cases) matrix. Iterations are then ranked BLOCK_ITERATIONS
+at a time, one gather, mean and ``rankdata`` call per block and metric.
+Each mean sums its resampled cases in draw order, exactly as a loop over
+single iterations would, so no output byte depends on the block size.
+The block bounds the gather buffer to BLOCK_ITERATIONS x n_cases x
+n_algorithms floats.
 """
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .errors import ParameterError, ValidationError
 from .metrics import METRIC_NAMES, CaseMetrics
-from .ranking import METRIC_DIRECTIONS, rank_metric
+from .ranking import METRIC_DIRECTIONS
+
+#: Iterations ranked per vectorized step.
+BLOCK_ITERATIONS = 256
 
 
 @dataclass(frozen=True)
@@ -67,26 +76,42 @@ def _metric_matrix(case_metrics: list[CaseMetrics], metric: str):
     return algorithms, case_ids, values
 
 
-def _iteration_ranks(values: dict[str, np.ndarray], algorithms, idx) -> dict[str, np.ndarray]:
-    out = {}
-    for metric, mat in values.items():
-        means = mat[:, idx].mean(axis=1)
-        ranks = rank_metric(dict(zip(algorithms, means)), METRIC_DIRECTIONS[metric])
-        out[metric] = np.array([ranks[a] for a in algorithms])
-    return out
+def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
+    """-> (iterations, n_cases) case indices; row i from SeedSequence((seed, i))."""
+    idx = np.empty((iterations, n_cases), dtype=np.int64)
+    for i in range(iterations):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        idx[i] = rng.integers(0, n_cases, size=n_cases)
+    return idx
+
+
+def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndarray:
+    """-> (iterations, n_alg) tie-averaged ranks of the resampled means, 1 = best.
+
+    ``values.T[block]`` is C-ordered (block, n_cases, n_alg), so each mean
+    adds its cases one at a time in draw order, algorithms on the inner
+    axis: the summation numpy gives a single iteration's ``values[:, idx]``.
+    """
+    sign = -1.0 if direction == "descending" else 1.0
+    by_case = values.T
+    ranks = np.empty((len(idx), len(values)))
+    for start in range(0, len(idx), BLOCK_ITERATIONS):
+        block = idx[start : start + BLOCK_ITERATIONS]
+        means = by_case[block].mean(axis=1)
+        ranks[start : start + len(block)] = rankdata(sign * means, method="average", axis=1)
+    return ranks
 
 
 def bootstrap_ranks(
     case_metrics: list[CaseMetrics],
     iterations: int = 500,
     seed: int = 0,
-    workers: int = 1,
 ) -> BootstrapSummary:
     """Resample cases with replacement and tally the per-metric ranks.
 
-    Deterministic for a given seed regardless of ``workers``: each
-    iteration derives its own RNG stream and results are merged in
-    iteration order.
+    Deterministic for a given seed: iteration i resamples with its own
+    SeedSequence((seed, i)) stream, and the result depends on neither
+    BLOCK_ITERATIONS nor the caller's threading.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -97,22 +122,11 @@ def bootstrap_ranks(
     for metric in METRIC_NAMES:
         algorithms, case_ids, values = _metric_matrix(case_metrics, metric)
         matrices[metric] = values
-    n_cases = len(case_ids)
-
-    def run(i: int) -> dict[str, np.ndarray]:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        idx = rng.integers(0, n_cases, size=n_cases)
-        return _iteration_ranks(matrices, algorithms, idx)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_iteration = list(pool.map(run, range(iterations)))
-    else:
-        per_iteration = [run(i) for i in range(iterations)]
+    idx = _resample_indices(len(case_ids), iterations, seed)
 
     stats: dict[str, dict[str, RankStats]] = {}
     for metric in METRIC_NAMES:
-        ranks = np.vstack([r[metric] for r in per_iteration])  # (iterations, n_alg)
+        ranks = _block_ranks(matrices[metric], idx, METRIC_DIRECTIONS[metric])
         stats[metric] = {}
         for j, a in enumerate(algorithms):
             column = ranks[:, j]
@@ -168,13 +182,3 @@ def bubble_export(summary: BootstrapSummary) -> list[dict]:
                     }
                 )
     return rows
-
-
-def rank_sum_identity(n_algorithms: int) -> float:
-    """Every iteration's ranks for one metric sum to K(K+1)/2."""
-    return n_algorithms * (n_algorithms + 1) / 2.0
-
-
-def expected_rank_spread(std_rank: float, iterations: int) -> float:
-    """Sanity band for comparing mean ranks across different seeds."""
-    return 3.0 * std_rank / math.sqrt(iterations)

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from voxeval.consensus import ConsensusRegions
 from voxeval.grid import GridGeometry, LabelVolume, ProbabilityVolume
-from voxeval.metrics import CaseMetrics
+from voxeval.metrics import METRIC_NAMES, CaseMetrics
+from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
+from voxeval.stability import BootstrapSummary, RankStats, _metric_matrix
 
 
 def geom(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0)) -> GridGeometry:
@@ -64,6 +67,29 @@ def make_case_metrics(case_id, algorithm, dsc, confidence, ece, crps) -> CaseMet
         empty_consensus_bg={c: False for c in classes},
         sigma_zero={c: False for c in classes},
     )
+
+
+def regions_to_label_volume(regions: ConsensusRegions, class_id: int) -> LabelVolume:
+    """Export one class's partition as a label map for visual audit.
+
+    Encoding: 0 = background consensus, 1 = dissensus, 2 = foreground
+    consensus.
+    """
+    r = regions.per_class[class_id]
+    out = np.zeros(regions.geometry.dims, dtype=np.uint8)
+    out[r.dissensus.to_bool(regions.geometry.dims)] = 1
+    out[r.fg.to_bool(regions.geometry.dims)] = 2
+    return LabelVolume(regions.geometry, out)
+
+
+def rank_sum_identity(n_algorithms: int) -> float:
+    """Every iteration's ranks for one metric sum to K(K+1)/2."""
+    return n_algorithms * (n_algorithms + 1) / 2.0
+
+
+def expected_rank_spread(std_rank: float, iterations: int) -> float:
+    """Sanity band for comparing mean ranks across different seeds."""
+    return 3.0 * std_rank / math.sqrt(iterations)
 
 
 # --- oracles --------------------------------------------------------------
@@ -188,6 +214,58 @@ def average_ranks(values):
             ranks[order[k]] = avg
         i = j + 1
     return ranks
+
+
+def _iteration_ranks(values: dict[str, np.ndarray], algorithms, idx) -> dict[str, np.ndarray]:
+    out = {}
+    for metric, mat in values.items():
+        means = mat[:, idx].mean(axis=1)
+        ranks = rank_metric(dict(zip(algorithms, means)), METRIC_DIRECTIONS[metric])
+        out[metric] = np.array([ranks[a] for a in algorithms])
+    return out
+
+
+def bootstrap_ranks_reference(case_metrics, iterations: int, seed: int) -> BootstrapSummary:
+    """One iteration at a time through ``rank_metric``: the block-ranked
+    ``bootstrap_ranks`` must reproduce this summary byte for byte."""
+    matrices = {}
+    for metric in METRIC_NAMES:
+        algorithms, case_ids, values = _metric_matrix(case_metrics, metric)
+        matrices[metric] = values
+    n_cases = len(case_ids)
+
+    def run(i: int) -> dict[str, np.ndarray]:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        idx = rng.integers(0, n_cases, size=n_cases)
+        return _iteration_ranks(matrices, algorithms, idx)
+
+    per_iteration = [run(i) for i in range(iterations)]
+
+    stats: dict[str, dict[str, RankStats]] = {}
+    for metric in METRIC_NAMES:
+        ranks = np.vstack([r[metric] for r in per_iteration])  # (iterations, n_alg)
+        stats[metric] = {}
+        for j, a in enumerate(algorithms):
+            column = ranks[:, j]
+            mean = float(column.mean())
+            std = float(column.std())
+            occupied, counts = np.unique(column, return_counts=True)
+            freq = {float(r): float(c) / iterations for r, c in zip(occupied, counts)}
+            stats[metric][a] = RankStats(
+                mean_rank=mean,
+                std_rank=std,
+                median_rank=float(np.median(column)),
+                ci_low=mean - 1.96 * std,
+                ci_high=mean + 1.96 * std,
+                rank_frequency=freq,
+            )
+    return BootstrapSummary(
+        iterations=iterations,
+        rng_seed=seed,
+        algorithms=tuple(algorithms),
+        metrics=METRIC_NAMES,
+        stats=stats,
+    )
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from conftest import (
+    bootstrap_ranks_reference,
     cece_by_voxel_loop,
     consensus_by_voxel_loop,
     crps_by_integration,
@@ -231,8 +232,8 @@ def test_criterion_7_bootstrap_determinism_and_structure():
     assert elapsed < 10.0, f"500 x 7 x 60 took {elapsed:.2f} s (budget 10 s)"
 
     again = bootstrap_ranks(cms, iterations=500, seed=99)
-    parallel = bootstrap_ranks(cms, iterations=500, seed=99, workers=4)
-    assert _summary_json(summary) == _summary_json(again) == _summary_json(parallel)
+    reference = bootstrap_ranks_reference(cms, iterations=500, seed=99)
+    assert _summary_json(summary) == _summary_json(again) == _summary_json(reference)
 
     for metric in summary.metrics:
         total = sum(summary.stats[metric][a].mean_rank for a in summary.algorithms)
@@ -247,7 +248,7 @@ def test_criterion_7_bootstrap_determinism_and_structure():
     )
     assert single.stats["dsc"]["a"].std_rank == 0.0
     assert single.stats["dsc"]["a"].rank_frequency == {1.0: 1.0}
-    print(f"ACCEPTANCE 7 PASS - byte-identical across reruns and serial/parallel; "
+    print(f"ACCEPTANCE 7 PASS - byte-identical across reruns and to the per-iteration reference; "
           f"rank mass conserved; single-case std 0; 500x7x60 in {elapsed:.2f} s < 10 s")
 
 

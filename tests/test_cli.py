@@ -224,3 +224,22 @@ def test_renormalize_flag_rescues_unnormalized_predictions(phantom_dir, tmp_path
     args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5"]
     assert main(args + ["--out", str(tmp_path / "strict")]) == 2
     assert main(args + ["--out", str(tmp_path / "fixed"), "--renormalize"]) == 0
+
+
+def test_renormalize_zero_sum_voxel_is_exit_2_naming_file_and_voxel(phantom_dir, tmp_path, capsys):
+    import numpy as np
+
+    from voxeval.nifti import read_volume, write_nifti
+    from voxeval.grid import ProbabilityVolume
+
+    victim = next((phantom_dir / "volumes").glob("case_001_pred_good*"))
+    v = read_volume(victim)
+    channels = v.channels.copy()
+    channels[:, 1, 2, 3] = 1.0  # sum 4, the worst voxel
+    channels[:, 4, 5, 6] = 0.0  # sum 0 elsewhere
+    write_nifti(ProbabilityVolume(v.geometry, channels), victim)
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--renormalize"]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert victim.name in err
+    assert "zero-sum voxel (4, 5, 6)" in err

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import consensus_by_voxel_loop, label_volume
-from voxeval.consensus import derive_regions, region_counts, regions_to_label_volume
+from conftest import consensus_by_voxel_loop, label_volume, regions_to_label_volume
+from voxeval.consensus import derive_regions, region_counts
 from voxeval.errors import GeometryMismatchError, ParameterError
 from voxeval.grid import GridGeometry, LabelVolume
 from voxeval.phantom import PhantomSpec, Sphere, generate

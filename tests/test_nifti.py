@@ -16,7 +16,7 @@ from voxeval.errors import (
     UnsupportedDtypeError,
     VolumeIOError,
 )
-from voxeval.grid import LabelVolume, ProbabilityVolume
+from voxeval.grid import LabelVolume, ProbabilityVolume, validate_probability_sums
 from voxeval.nifti import (
     read_desk,
     read_nifti,
@@ -249,6 +249,17 @@ def test_channel_sum_violation_names_worst_voxel(tmp_path):
     v = read_nifti(p, renormalize=True)
     s = v.channels.sum(axis=0)
     assert np.allclose(s, 1.0, atol=1e-6)
+
+
+def test_renormalize_rejects_a_zero_sum_voxel_that_is_not_the_worst():
+    channels = np.full((4, 4, 4, 4), 0.25, dtype=np.float32)
+    channels[:, 0, 1, 2] = 1.0  # sum 4: the worst |sum - 1|
+    channels[:, 3, 2, 1] = 0.0  # sum 0: cannot be divided through
+    with pytest.raises(ChannelSumError, match=r"zero-sum voxel \(3, 2, 1\)"):
+        validate_probability_sums(channels, renormalize=True)
+    channels[:, 3, 2, 1] = 0.5
+    out = validate_probability_sums(channels, renormalize=True)
+    assert np.isfinite(out).all() and np.allclose(out.sum(axis=0), 1.0, atol=1e-6)
 
 
 def test_desk_round_trip_label_and_probability(tmp_path, rng):

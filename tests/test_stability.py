@@ -9,15 +9,17 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import average_ranks, make_case_metrics
-from voxeval.errors import ParameterError, ValidationError
-from voxeval.metrics import METRIC_NAMES
-from voxeval.stability import (
-    bootstrap_ranks,
-    bubble_export,
+from conftest import (
+    average_ranks,
+    bootstrap_ranks_reference,
     expected_rank_spread,
+    make_case_metrics,
     rank_sum_identity,
 )
+from voxeval import stability
+from voxeval.errors import ParameterError, ValidationError
+from voxeval.metrics import METRIC_NAMES
+from voxeval.stability import bootstrap_ranks, bubble_export
 
 
 def synthetic_metrics(rng, n_cases=10, n_algorithms=4, spread=0.2):
@@ -99,12 +101,71 @@ def test_per_sample_dominance_concentrates_rank_one(rng):
     assert summary.stats["dsc"]["weak"].rank_frequency == {2.0: 1.0}
 
 
-def test_fixed_seed_is_deterministic_and_parallel_agrees(rng):
+def test_fixed_seed_is_deterministic(rng):
     cms = synthetic_metrics(rng)
     a = bootstrap_ranks(cms, iterations=120, seed=42)
     b = bootstrap_ranks(cms, iterations=120, seed=42)
-    c = bootstrap_ranks(cms, iterations=120, seed=42, workers=4)
-    assert summary_as_json(a) == summary_as_json(b) == summary_as_json(c)
+    assert summary_as_json(a) == summary_as_json(b)
+
+
+def tied_metrics(rng, n_cases=13, n_algorithms=5):
+    """Values on a coarse grid, and alg1 a copy of alg0, so ranks tie often."""
+    cms = []
+    for j in range(n_algorithms):
+        for i in range(n_cases):
+            k = float(rng.integers(0, 3))
+            if j == 1:
+                cms.append(dataclasses.replace(cms[i], algorithm="alg1"))
+                continue
+            cms.append(make_case_metrics(f"case{i:02d}", f"alg{j}", 0.5 + 0.25 * k, 0.5, 0.1 * k, 1.0 + k))
+    return cms
+
+
+def near_tie_metrics(rng, n_cases=30):
+    """alg1/alg2 sit one ulp above/below alg0 on every case, so whether
+    their resampled means tie depends on how the summation rounds."""
+    cms = []
+    for i in range(n_cases):
+        base = make_case_metrics(f"case{i:02d}", "alg0", *(float(v) for v in rng.random(4)))
+        cms.append(base)
+        for name, toward in (("alg1", math.inf), ("alg2", -math.inf)):
+            cms.append(
+                make_case_metrics(
+                    base.case_id, name,
+                    *(math.nextafter(base.metric_mean(m), toward) for m in METRIC_NAMES),
+                )
+            )
+    return cms
+
+
+REFERENCE_SHAPES = {
+    "iterations-1": (synthetic_metrics, 1),
+    "iterations-255": (synthetic_metrics, 255),
+    "iterations-256": (synthetic_metrics, 256),
+    "iterations-257": (synthetic_metrics, 257),
+    "iterations-777": (lambda rng: synthetic_metrics(rng, n_cases=30, n_algorithms=12), 777),
+    "tied-values": (tied_metrics, 777),
+    "near-ties": (near_tie_metrics, 777),
+    "single-case": (lambda rng: synthetic_metrics(rng, n_cases=1, n_algorithms=3), 300),
+    "single-algorithm": (lambda rng: synthetic_metrics(rng, n_cases=9, n_algorithms=1), 300),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REFERENCE_SHAPES))
+def test_matches_per_iteration_reference_byte_for_byte(rng, shape):
+    build, iterations = REFERENCE_SHAPES[shape]
+    cms = build(rng)
+    block = bootstrap_ranks(cms, iterations=iterations, seed=17)
+    reference = bootstrap_ranks_reference(cms, iterations=iterations, seed=17)
+    assert summary_as_json(block) == summary_as_json(reference)
+
+
+@pytest.mark.parametrize("block_iterations", [1, 7, 10_000])
+def test_block_size_does_not_change_output(rng, monkeypatch, block_iterations):
+    cms = near_tie_metrics(rng)
+    expected = summary_as_json(bootstrap_ranks(cms, iterations=300, seed=5))
+    monkeypatch.setattr(stability, "BLOCK_ITERATIONS", block_iterations)
+    assert summary_as_json(bootstrap_ranks(cms, iterations=300, seed=5)) == expected
 
 
 def test_matches_reimplemented_loop(rng):
