@@ -135,6 +135,7 @@ def _evaluate_one_case(entry, config: RunConfig, eval_cfg: EvalConfig):
         for name in sorted(entry.algorithm_predictions):
             pred = _load_probability(entry.algorithm_predictions[name], config.renormalize)
             out.append(evaluate_case(pred, raters, eval_cfg, case_id=entry.case_id, algorithm=name))
+            del pred  # free this prediction before the next one is decoded
         return ("ok", out)
     except VoxevalError as exc:
         if config.skip_bad_cases:

@@ -9,8 +9,9 @@ the three organs:
 * consensus confidence: ``c_seg = ((1 - c_bg) + c_fg) / 2`` where c_fg /
   c_bg are the mean predicted class probability over the foreground /
   background consensus;
-* confidence expected calibration error over max-softmax confidence,
-  computed against each rater separately and averaged;
+* confidence expected calibration error over max-softmax confidence:
+  each prediction's confidences are binned once, every rater is scored
+  against those bins, and the per-rater errors are averaged;
 * volumetric CRPS of the probability-summed predicted volume against a
   Gaussian fitted to the rater volumes.
 """
@@ -68,19 +69,6 @@ def compensated_sum(values: np.ndarray) -> float:
     )
 
 
-def binarize_prediction(
-    pred: ProbabilityVolume, class_id: int, threshold: float = 0.5, argmax_mode: bool = False
-) -> np.ndarray:
-    """Boolean foreground mask for one class channel.
-
-    Default: class channel >= threshold. With argmax_mode the winning
-    channel decides (ties to the lowest class id, matching np.argmax).
-    """
-    if argmax_mode:
-        return np.argmax(pred.channels, axis=0) == class_id
-    return pred.channels[class_id] >= threshold
-
-
 def dsc_consensus(
     pred: ProbabilityVolume,
     regions: ConsensusRegions,
@@ -98,7 +86,11 @@ def dsc_consensus(
     """
     require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
     r = regions[class_id]
-    p = PackedMask.from_bool(binarize_prediction(pred, class_id, threshold, argmax_mode))
+    if argmax_mode:  # ties go to the lowest class id, as in np.argmax
+        predicted = np.argmax(pred.channels, axis=0) == class_id
+    else:
+        predicted = pred.channels[class_id] >= threshold
+    p = PackedMask.from_bool(predicted)
     tp = p.count_and(r.fg)
     fp = p.count_and(r.bg)
     fn = r.fg.count() - tp
@@ -150,7 +142,8 @@ class CalibrationBins:
     ``value`` is sum over occupied bins of weight * |acc - conf|, with
     weight = count / n_evaluated by default. The literal-equation mode
     weights by count / bin_count instead (kept for comparison; it does
-    not normalize to a weighted average).
+    not normalize to a weighted average). The records of one prediction's
+    raters share their ``counts`` and ``conf_mean`` arrays.
     """
 
     bin_count: int
@@ -178,24 +171,54 @@ class CalibrationBins:
         return out
 
 
-def _bin_confidences(conf: np.ndarray, correct: np.ndarray, bins: int, literal: bool) -> CalibrationBins:
-    # Bin rule shared with the brute-force oracle: floor(conf * M) in
-    # float64, last bin right-closed.
+def _calibrate(pred, raters, class_id, bins, literal, include) -> list[CalibrationBins]:
+    """Bin the prediction's confidences once; return one CalibrationBins per rater.
+
+    ``class_id=None`` is multiclass: confidence = max softmax probability,
+    predicted = argmax class (ties to the lowest class id). A class id is
+    one-vs-rest: confidence = max(p, 1 - p) of its channel, predicted =
+    p >= 0.5. A voxel is correct when predicted matches the rater.
+    ``include`` optionally restricts the voxels (e.g. to unanimous ones).
+    Bin rule shared with the brute-force oracles: floor(conf * M) in
+    float64, last bin right-closed. Only the correct-counts per bin
+    depend on the rater.
+    """
+    if bins < 2:
+        raise ParameterError(f"bin count must be >= 2, got {bins}")
+    for r in raters:
+        require_same_grid(pred.geometry, r.geometry, "prediction vs rater")
+    if class_id is None:
+        conf = pred.channels.max(axis=0)
+        predicted = np.argmax(pred.channels, axis=0)
+        correct = (predicted == r.voxels for r in raters)
+    else:
+        p = pred.channels[class_id].astype(np.float64, copy=False)
+        predicted = p >= 0.5
+        conf = np.maximum(p, 1.0 - p)
+        del p
+        correct = (predicted == (r.voxels == class_id) for r in raters)
+    if include is not None:
+        conf = conf[include]
+        correct = (c[include] for c in correct)
     conf = conf.astype(np.float64, copy=False).reshape(-1)
-    correct = correct.reshape(-1)
     idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
     counts = np.bincount(idx, minlength=bins)
     conf_sums = np.bincount(idx, weights=conf, minlength=bins)
-    acc_sums = np.bincount(idx, weights=correct.astype(np.float64), minlength=bins)
+    n = conf.size
+    del conf
     occupied = counts > 0
     conf_mean = np.zeros(bins)
-    acc_mean = np.zeros(bins)
     conf_mean[occupied] = conf_sums[occupied] / counts[occupied]
-    acc_mean[occupied] = acc_sums[occupied] / counts[occupied]
-    n = conf.size
     denom = bins if literal else n
-    value = float(np.sum(counts[occupied] / denom * np.abs(acc_mean[occupied] - conf_mean[occupied])))
-    return CalibrationBins(bins, counts, conf_mean, acc_mean, n, value, literal)
+
+    out = []
+    for c in correct:
+        acc_sums = np.bincount(idx, weights=c.reshape(-1), minlength=bins)
+        acc_mean = np.zeros(bins)
+        acc_mean[occupied] = acc_sums[occupied] / counts[occupied]
+        value = float(np.sum(counts[occupied] / denom * np.abs(acc_mean[occupied] - conf_mean[occupied])))
+        out.append(CalibrationBins(bins, counts, conf_mean, acc_mean, n, value, literal))
+    return out
 
 
 def cece(
@@ -205,24 +228,9 @@ def cece(
     eq2_literal: bool = False,
     include: np.ndarray | None = None,
 ) -> CalibrationBins:
-    """Multiclass confidence calibration error against one rater.
-
-    Per voxel: confidence = max softmax probability over the 4 channels,
-    correct = argmax class equals the rater label (argmax ties resolve
-    to the lowest class id). Voxels fall into ``bins`` equal-width
-    confidence bins over [0, 1], last bin right-closed. ``include``
-    optionally restricts the evaluated voxels (e.g. to rater-unanimous
-    ones).
-    """
-    if bins < 2:
-        raise ParameterError(f"bin count must be >= 2, got {bins}")
-    require_same_grid(pred.geometry, rater.geometry, "prediction vs rater")
-    conf = pred.channels.max(axis=0)
-    predicted = np.argmax(pred.channels, axis=0)
-    correct = predicted == rater.voxels
-    if include is not None:
-        conf, correct = conf[include], correct[include]
-    return _bin_confidences(conf, correct, bins, eq2_literal)
+    """Multiclass calibration error against one rater: max-softmax
+    confidence, argmax prediction (see _calibrate)."""
+    return _calibrate(pred, [rater], None, bins, eq2_literal, include)[0]
 
 
 def cece_binary(
@@ -233,21 +241,9 @@ def cece_binary(
     eq2_literal: bool = False,
     include: np.ndarray | None = None,
 ) -> CalibrationBins:
-    """One-vs-rest calibration error for a single class.
-
-    confidence = max(p, 1 - p) of the class channel, correct = (p >= 0.5)
-    agrees with the rater's class membership.
-    """
-    if bins < 2:
-        raise ParameterError(f"bin count must be >= 2, got {bins}")
-    require_same_grid(pred.geometry, rater.geometry, "prediction vs rater")
-    p = pred.channels[class_id].astype(np.float64, copy=False)
-    predicted_pos = p >= 0.5
-    conf = np.where(predicted_pos, p, 1.0 - p)
-    correct = predicted_pos == (rater.voxels == class_id)
-    if include is not None:
-        conf, correct = conf[include], correct[include]
-    return _bin_confidences(conf, correct, bins, eq2_literal)
+    """One-vs-rest calibration error for a single class: confidence
+    max(p, 1 - p), prediction p >= 0.5 (see _calibrate)."""
+    return _calibrate(pred, [rater], class_id, bins, eq2_literal, include)[0]
 
 
 def cece_multirater(
@@ -258,7 +254,7 @@ def cece_multirater(
     include: np.ndarray | None = None,
 ) -> float:
     """Mean of the per-rater multiclass calibration errors."""
-    values = [cece(pred, r, bins, eq2_literal, include).value for r in raters]
+    values = [b.value for b in _calibrate(pred, raters, None, bins, eq2_literal, include)]
     return sum(values) / len(values)
 
 
@@ -392,34 +388,25 @@ def _evaluate_case(pred, raters, config, case_id, algorithm) -> CaseMetrics:
         crps[c] = crps_gaussian(VolumeDistribution(mu, sigma, predicted_volume(pred, c)))
 
     if config.ece_per_class:
-        cece_by_class = {
-            c: float(
-                np.mean(
-                    [
-                        cece_binary(pred, r, c, config.ece_bins, config.eq2_literal, include).value
-                        for r in raters
-                    ]
-                )
-            )
-            for c in config.classes
-        }
+        cece_by_class = {}
+        for c in config.classes:
+            per_rater = _calibrate(pred, raters, c, config.ece_bins, config.eq2_literal, include)
+            cece_by_class[c] = float(np.mean([b.value for b in per_rater]))
         mean_cece = sum(cece_by_class.values()) / len(cece_by_class)
     else:
         grid_value = cece_multirater(pred, raters, config.ece_bins, config.eq2_literal, include)
         cece_by_class = {c: grid_value for c in config.classes}
         mean_cece = grid_value
 
-    c_seg = {c: conf.c_seg[c] for c in config.classes}
-    defined = [v for v in c_seg.values() if v is not None]
     return CaseMetrics(
         case_id=case_id,
         algorithm=algorithm,
         dsc=dsc,
-        c_seg=c_seg,
+        c_seg=conf.c_seg,
         cece=cece_by_class,
         crps=crps,
         mean_dsc=sum(dsc.values()) / len(dsc),
-        mean_c_seg=sum(defined) / len(defined) if defined else None,
+        mean_c_seg=conf.mean,
         mean_cece=mean_cece,
         mean_crps=sum(crps.values()) / len(crps),
         empty_consensus_fg=empty_fg,

@@ -19,6 +19,7 @@ data the channel axis is slowest (one full 3D block per channel).
 
 import gzip
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -124,9 +125,9 @@ def _decode_payload(raw: bytes, fields: dict) -> tuple[np.ndarray, GridGeometry]
         raise FormatError(f"non-positive pixdim spacing {spacing}")
     geometry = GridGeometry(dims, spacing)
 
+    if not HEADER_SIZE <= fields["vox_offset"] < math.inf:  # NaN fails too
+        raise FormatError(f"vox_offset {fields['vox_offset']} is not a finite value >= {HEADER_SIZE}")
     vox_offset = int(fields["vox_offset"])
-    if vox_offset < HEADER_SIZE:
-        raise FormatError(f"vox_offset {vox_offset} < {HEADER_SIZE}")
     n_elem = channels * geometry.n_voxels
     n_bytes = n_elem * (bitpix // 8)
     if len(raw) < vox_offset + n_bytes:
@@ -135,18 +136,22 @@ def _decode_payload(raw: bytes, fields: dict) -> tuple[np.ndarray, GridGeometry]
             f"file has {len(raw) - vox_offset}"
         )
     arr = np.frombuffer(raw, dtype=np.dtype(fields["endian"] + base), count=n_elem, offset=vox_offset)
-    arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+    arr = _to_memory_layout(arr, dims, channels if ndim == 4 else 0)
 
     slope, inter = float(fields["scl_slope"]), float(fields["scl_inter"])
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
         arr = arr * slope + inter
-
-    dx, dy, dz = dims
-    if ndim == 3:
-        arr = np.ascontiguousarray(arr.reshape(dz, dy, dx).transpose(2, 1, 0))
-    else:
-        arr = np.ascontiguousarray(arr.reshape(channels, dz, dy, dx).transpose(0, 3, 2, 1))
     return arr, geometry
+
+
+def _to_memory_layout(flat: np.ndarray, dims, channels: int) -> np.ndarray:
+    """Owned native-order copy of an x-fastest payload: [x,y,z] if channels is 0, else [c,x,y,z]."""
+    dx, dy, dz = dims
+    if channels == 0:
+        view = flat.reshape(dz, dy, dx).transpose(2, 1, 0)
+    else:
+        view = flat.reshape(channels, dz, dy, dx).transpose(0, 3, 2, 1)
+    return view.astype(flat.dtype.newbyteorder("="), order="C")  # cast and transpose in one copy
 
 
 def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
@@ -181,6 +186,7 @@ def read_nifti(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolu
     raw = _read_bytes(path)
     fields = _parse_header(raw)
     arr, geometry = _decode_payload(raw, fields)
+    del raw  # the array is an owned copy; free the file bytes before validation
     if arr.ndim == 3:
         return _as_label(arr, geometry)
     return _as_probability(arr, geometry, renormalize)
@@ -243,28 +249,27 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
     path = Path(path)
     try:
         meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid desk header JSON: {exc}") from exc
-    for key in ("dims", "spacing_mm", "dtype", "channels"):
-        if key not in meta:
-            raise FormatError(f"desk header missing key {key!r}")
-    if meta["dtype"] not in DESK_DTYPES:
-        raise UnsupportedDtypeError(f"desk dtype {meta['dtype']!r} not in {sorted(DESK_DTYPES)}")
-    channels = int(meta["channels"])
-    if channels not in (0, N_CHANNELS):
-        raise ShapeError(f"desk channels must be 0 (labels) or {N_CHANNELS}, got {channels}")
-    geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))
+        for key in ("dims", "spacing_mm", "dtype", "channels"):
+            if key not in meta:
+                raise FormatError(f"desk header missing key {key!r}")
+        if meta["dtype"] not in DESK_DTYPES:
+            raise UnsupportedDtypeError(f"desk dtype {meta['dtype']!r} not in {sorted(DESK_DTYPES)}")
+        channels = int(meta["channels"])
+        if channels not in (0, N_CHANNELS):
+            raise ShapeError(f"desk channels must be 0 (labels) or {N_CHANNELS}, got {channels}")
+        geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))
+    except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"invalid desk header: {exc}") from exc
     raw = path.with_suffix(".raw").read_bytes()
     n_elem = max(channels, 1) * geometry.n_voxels
-    arr = np.frombuffer(raw, dtype=np.dtype("<" + DESK_DTYPES[meta["dtype"]]), count=n_elem)
-    if arr.size != n_elem:
-        raise FormatError(f"desk payload has {arr.size} elements, expected {n_elem}")
-    arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    dx, dy, dz = geometry.dims
+    dtype = np.dtype("<" + DESK_DTYPES[meta["dtype"]])
+    if len(raw) < n_elem * dtype.itemsize:
+        raise FormatError(f"desk payload has {len(raw) // dtype.itemsize} elements, expected {n_elem}")
+    arr = np.frombuffer(raw, dtype=dtype, count=n_elem)
+    arr = _to_memory_layout(arr, geometry.dims, channels)
+    del raw
     if channels == 0:
-        arr = np.ascontiguousarray(arr.reshape(dz, dy, dx).transpose(2, 1, 0))
         return _as_label(arr, geometry)
-    arr = np.ascontiguousarray(arr.reshape(channels, dz, dy, dx).transpose(0, 3, 2, 1))
     return _as_probability(arr, geometry, renormalize)
 
 

@@ -12,8 +12,9 @@ import pytest
 from scipy.special import ndtr
 
 from voxeval.consensus import ConsensusRegions
-from voxeval.grid import GridGeometry, LabelVolume, ProbabilityVolume
-from voxeval.metrics import METRIC_NAMES, CaseMetrics
+from voxeval.errors import ParameterError
+from voxeval.grid import GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
+from voxeval.metrics import METRIC_NAMES, CalibrationBins, CaseMetrics
 from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
 from voxeval.stability import BootstrapSummary, RankStats, _metric_matrix
 
@@ -159,6 +160,78 @@ def cece_by_voxel_loop(prob: ProbabilityVolume, labels: LabelVolume, bins, liter
             weight = count / (bins if literal else n)
             total += weight * abs(correct_sum / count - conf_sum / count)
     return total
+
+
+def cece_binary_by_voxel_loop(prob: ProbabilityVolume, labels: LabelVolume, class_id, bins,
+                              literal=False):
+    """Brute-force one-vs-rest binning, one voxel at a time."""
+    dims = prob.geometry.dims
+    table = [[0, 0.0, 0.0] for _ in range(bins)]  # count, conf sum, correct sum
+    n = 0
+    for x in range(dims[0]):
+        for y in range(dims[1]):
+            for z in range(dims[2]):
+                p = float(prob.channels[class_id][x, y, z])
+                predicted = p >= 0.5
+                conf = p if predicted else 1.0 - p
+                correct = predicted == (int(labels.voxels[x, y, z]) == class_id)
+                m = min(int(conf * bins), bins - 1)
+                table[m][0] += 1
+                table[m][1] += conf
+                table[m][2] += 1.0 if correct else 0.0
+                n += 1
+    total = 0.0
+    for count, conf_sum, correct_sum in table:
+        if count:
+            weight = count / (bins if literal else n)
+            total += weight * abs(correct_sum / count - conf_sum / count)
+    return total
+
+
+def _bin_confidences_reference(conf, correct, bins, literal) -> CalibrationBins:
+    conf = conf.astype(np.float64, copy=False).reshape(-1)
+    correct = correct.reshape(-1)
+    idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    conf_sums = np.bincount(idx, weights=conf, minlength=bins)
+    acc_sums = np.bincount(idx, weights=correct.astype(np.float64), minlength=bins)
+    occupied = counts > 0
+    conf_mean = np.zeros(bins)
+    acc_mean = np.zeros(bins)
+    conf_mean[occupied] = conf_sums[occupied] / counts[occupied]
+    acc_mean[occupied] = acc_sums[occupied] / counts[occupied]
+    n = conf.size
+    denom = bins if literal else n
+    value = float(np.sum(counts[occupied] / denom * np.abs(acc_mean[occupied] - conf_mean[occupied])))
+    return CalibrationBins(bins, counts, conf_mean, acc_mean, n, value, literal)
+
+
+def calibration_reference(pred, raters, class_id, bins, literal=False,
+                          include=None) -> list[CalibrationBins]:
+    """Per-rater calibration as it was before binning was shared.
+
+    Every rater re-derives confidence, prediction and bins on its own:
+    multiclass for ``class_id=None``, one-vs-rest for a class id. The
+    library's shared-binning core must match this bit for bit.
+    """
+    out = []
+    for rater in raters:
+        if bins < 2:
+            raise ParameterError(f"bin count must be >= 2, got {bins}")
+        require_same_grid(pred.geometry, rater.geometry, "prediction vs rater")
+        if class_id is None:
+            conf = pred.channels.max(axis=0)
+            predicted = np.argmax(pred.channels, axis=0)
+            correct = predicted == rater.voxels
+        else:
+            p = pred.channels[class_id].astype(np.float64, copy=False)
+            predicted_pos = p >= 0.5
+            conf = np.where(predicted_pos, p, 1.0 - p)
+            correct = predicted_pos == (rater.voxels == class_id)
+        if include is not None:
+            conf, correct = conf[include], correct[include]
+        out.append(_bin_confidences_reference(conf, correct, bins, literal))
+    return out
 
 
 def crps_by_integration(mu: float, sigma: float, y: float) -> float:

@@ -1,11 +1,14 @@
 """Calibration error: spec'd bin arithmetic against the per-voxel oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (
+    calibration_reference,
+    cece_binary_by_voxel_loop,
     cece_by_voxel_loop,
     geom,
     label_volume,
@@ -15,7 +18,15 @@ from conftest import (
 )
 from voxeval.errors import ParameterError
 from voxeval.grid import ProbabilityVolume
-from voxeval.metrics import cece, cece_binary, cece_multirater
+from voxeval.metrics import (
+    CalibrationBins,
+    EvalConfig,
+    _calibrate,
+    cece,
+    cece_binary,
+    cece_multirater,
+    evaluate_case,
+)
 
 
 def volume_with_confidence(conf_per_voxel, winner_per_voxel, dims):
@@ -83,6 +94,19 @@ def test_matches_brute_force_oracle(rng, bins):
         assert math.isclose(got, expected, abs_tol=1e-12)
         literal = cece(pred, labels, bins, eq2_literal=True).value
         assert math.isclose(literal, cece_by_voxel_loop(pred, labels, bins, literal=True), abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("bins", [2, 5, 10, 15])
+def test_binary_matches_brute_force_oracle(rng, bins):
+    for _ in range(5):
+        dims = tuple(rng.integers(2, 7, size=3))
+        pred = random_probability_volume(rng, dims)
+        labels = label_volume(random_label_array(rng, dims))
+        for c in (1, 2, 3):
+            for literal in (False, True):
+                got = cece_binary(pred, labels, c, bins, eq2_literal=literal).value
+                expected = cece_binary_by_voxel_loop(pred, labels, c, bins, literal=literal)
+                assert math.isclose(got, expected, abs_tol=1e-12)
 
 
 def test_value_bounds_and_bin_bookkeeping(rng):
@@ -174,3 +198,110 @@ def test_sharpening_accurate_predictions_drives_cece_to_zero(rng):
         values.append(cece(ProbabilityVolume(geom((6, 6, 6)), channels), labels, 10).value)
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] == 0.0
+
+
+def edge_case_prediction(rng, dims, bins, dtype):
+    """Random channels plus voxels on the awkward spots of the bin rule.
+
+    Winner confidences sit exactly on every k/M (cycling the winning
+    class, so every one-vs-rest channel gets them too), and there are
+    argmax ties, one-vs-rest p = 0.5 and one-hot voxels.
+    """
+    raw = rng.random(size=(4, *dims)) + 1e-3
+    channels = raw / raw.sum(axis=0)
+    flat = channels.reshape(4, -1)
+    special = [[0.25] * 4, [0.1, 0.4, 0.4, 0.1], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    for k in range(bins + 1):
+        conf = k / bins
+        column = [(1.0 - conf) / 3.0] * 4
+        column[k % 4] = conf
+        special.append(column)
+    assert len(special) <= flat.shape[1]
+    flat[:, : len(special)] = np.array(special).T
+    return ProbabilityVolume(geom(dims), channels.astype(dtype))
+
+
+def perturbed_raters(rng, dims, n_raters, flip=0.15):
+    """Raters that share a base map except for a random share of voxels."""
+    base = random_label_array(rng, dims)
+    out = []
+    for _ in range(n_raters):
+        labels = base.copy()
+        flipped = rng.random(dims) < flip
+        labels[flipped] = random_label_array(rng, dims)[flipped]
+        out.append(label_volume(labels))
+    return out
+
+
+def assert_same_bins(got: CalibrationBins, expected: CalibrationBins):
+    for f in dataclasses.fields(CalibrationBins):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert (a == b).all() and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_raters", [2, 3, 9])
+@pytest.mark.parametrize("bins", [2, 10, 37])
+def test_shared_binning_matches_per_rater_reference(rng, bins, n_raters, dtype):
+    dims = (6, 5, 4)
+    pred = edge_case_prediction(rng, dims, bins, dtype)
+    raters = perturbed_raters(rng, dims, n_raters)
+    subset = rng.random(dims) < 0.7
+    for class_id in (None, 1, 2, 3):
+        for include in (None, subset):
+            for literal in (False, True):
+                got = _calibrate(pred, raters, class_id, bins, literal, include)
+                expected = calibration_reference(pred, raters, class_id, bins, literal, include)
+                assert len(got) == len(expected) == n_raters
+                for g, e in zip(got, expected):
+                    assert_same_bins(g, e)
+                for r, e in zip(raters, expected):
+                    if class_id is None:
+                        assert_same_bins(cece(pred, r, bins, literal, include), e)
+                    else:
+                        assert_same_bins(cece_binary(pred, r, class_id, bins, literal, include), e)
+                if class_id is None:
+                    mean = sum(e.value for e in expected) / n_raters
+                    assert cece_multirater(pred, raters, bins, literal, include) == mean
+
+
+@pytest.mark.parametrize("classes", [(1, 2, 3), (3, 1)])
+@pytest.mark.parametrize("bins", [2, 10, 37])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_raters", [2, 3, 9])
+def test_evaluate_case_calibration_matches_per_rater_reference(rng, n_raters, dtype, bins, classes):
+    dims = (6, 5, 4)
+    pred = edge_case_prediction(rng, dims, bins, dtype)
+    raters = perturbed_raters(rng, dims, n_raters)
+    unanimous = np.all([r.voxels == raters[0].voxels for r in raters], axis=0)
+    assert unanimous.any() and not unanimous.all()
+
+    def reference_values(class_id, literal, include):
+        return [b.value for b in calibration_reference(pred, raters, class_id, bins, literal, include)]
+
+    for per_class in (False, True):
+        for exclude in (False, True):
+            for literal in (False, True):
+                config = EvalConfig(
+                    ece_bins=bins,
+                    eq2_literal=literal,
+                    ece_per_class=per_class,
+                    ece_exclude_dissensus=exclude,
+                    classes=classes,
+                )
+                include = unanimous if exclude else None
+                if per_class:
+                    expected = {c: float(np.mean(reference_values(c, literal, include))) for c in classes}
+                    expected_mean = sum(expected.values()) / len(expected)
+                else:
+                    values = reference_values(None, literal, include)
+                    expected_mean = sum(values) / len(values)
+                    expected = {c: expected_mean for c in classes}
+                got = evaluate_case(pred, raters, config)
+                assert got.cece == expected
+                assert list(got.cece) == list(classes)
+                assert got.mean_cece == expected_mean

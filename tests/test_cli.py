@@ -194,6 +194,20 @@ def test_validate_ok_and_failure(phantom_dir, tmp_path, capsys):
     assert main(["validate", str(phantom_dir / "manifest.json")]) == 2
 
 
+def test_validate_nan_vox_offset_is_exit_2_naming_file(phantom_dir, capsys):
+    import gzip
+    import struct
+
+    victim = next((phantom_dir / "volumes").glob("case_001_pred_good*"))
+    raw = bytearray(gzip.decompress(victim.read_bytes()))
+    struct.pack_into("<f", raw, 108, float("nan"))
+    victim.write_bytes(gzip.compress(bytes(raw)))
+    assert main(["validate", str(phantom_dir / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert victim.name in err
+    assert "vox_offset nan" in err
+
+
 def test_phantom_bad_spec_is_exit_1(tmp_path, capsys):
     spec = dict(PHANTOM_SPEC, spheres={
         "pancreas": {"center": [7, 7, 7], "radius": 3},

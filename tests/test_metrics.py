@@ -270,6 +270,23 @@ def test_class_subset_config(rng):
     assert cm.mean_dsc == cm.dsc[1]
 
 
+@pytest.mark.parametrize("classes", [(1, 2, 3), (3, 1), (2,)])
+def test_case_confidence_is_the_confidence_scores_record(rng, classes):
+    # class 2 has no consensus foreground here, so its c_seg is None
+    arrays = [rng.integers(0, 4, size=(7, 6, 5)).astype(np.uint8) for _ in range(3)]
+    for a in arrays:
+        a[a == 2] = 0
+    raters = [label_volume(a) for a in arrays]
+    pred = random_probability_volume(rng, (7, 6, 5))
+    cm = evaluate_case(pred, raters, EvalConfig(classes=classes), "c", "a")
+    conf = confidence_scores(pred, derive_regions(raters, classes=classes))
+    expected = {c: conf.c_seg[c] for c in classes}
+    assert list(cm.c_seg) == list(classes)
+    assert cm.c_seg == expected
+    defined = [v for v in expected.values() if v is not None]
+    assert cm.mean_c_seg == (sum(defined) / len(defined) if defined else None)
+
+
 def test_rater_order_does_not_change_any_metric(rng):
     arrays = [rng.integers(0, 4, size=(7, 6, 5)).astype(np.uint8) for _ in range(3)]
     raters = [label_volume(a) for a in arrays]

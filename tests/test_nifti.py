@@ -209,13 +209,16 @@ def test_bitpix_mismatch_rejected(tmp_path):
         read_nifti(p)
 
 
-def test_vox_offset_below_header_rejected(tmp_path):
+@pytest.mark.parametrize("vox_offset", [100.0, float("nan"), float("inf"), float("-inf")])
+def test_vox_offset_below_header_rejected(tmp_path, vox_offset):
     p = tmp_path / "bad.nii"
     raw = bytearray(build_nifti((2, 2, 2), 2, b"\x00" * 8))
-    struct.pack_into("<f", raw, 108, 100.0)
+    struct.pack_into("<f", raw, 108, vox_offset)
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="vox_offset"):
         read_nifti(p)
+    with pytest.raises(FormatError, match="bad.nii"):
+        read_volume(p)
 
 
 def test_invalid_class_id_rejected(tmp_path):
@@ -283,10 +286,31 @@ def test_desk_and_nifti_agree(tmp_path, rng):
     assert np.array_equal(a.voxels, b.voxels)
 
 
-def test_desk_header_validation(tmp_path):
-    (tmp_path / "x.json").write_text('{"dims": [2,2,2], "spacing_mm": [1,1,1], "dtype": "uint8"}')
-    with pytest.raises(FormatError, match="channels"):
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        ('{"dims": [2,2,2], "spacing_mm": [1,1,1], "dtype": "uint8"}', "channels"),
+        ('{"dims": "abc", "spacing_mm": [1,1,1], "dtype": "uint8", "channels": 0}', "invalid desk header"),
+        ('{"dims": [2,2,2], "spacing_mm": [1,1,1], "dtype": "uint8", "channels": "x"}', "invalid desk header"),
+        ('{"dims": [2,2,2], "spacing_mm": [1,1,1], "dtype": ["uint8"], "channels": 0}', "invalid desk header"),
+        ("5", "invalid desk header"),
+    ],
+    ids=["missing-channels", "dims-string", "channels-string", "dtype-list", "not-an-object"],
+)
+def test_desk_header_validation(tmp_path, header, match):
+    (tmp_path / "x.json").write_text(header)
+    (tmp_path / "x.raw").write_bytes(b"\x00" * 8)
+    with pytest.raises(FormatError, match=match):
         read_desk(tmp_path / "x.json")
+    with pytest.raises(FormatError, match="x.json"):
+        read_volume(tmp_path / "x.json")
+
+
+def test_desk_truncated_payload_is_format_error(tmp_path):
+    (tmp_path / "x.json").write_text('{"dims": [4,4,4], "spacing_mm": [1,1,1], "dtype": "uint8", "channels": 0}')
+    (tmp_path / "x.raw").write_bytes(b"\x00" * 8)
+    with pytest.raises(FormatError, match="x.json: desk payload has 8 elements, expected 64"):
+        read_volume(tmp_path / "x.json")
 
 
 def test_read_volume_adds_path_context(tmp_path):
