@@ -257,8 +257,8 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
         channels = int(meta["channels"])
         if channels not in (0, N_CHANNELS):
             raise ShapeError(f"desk channels must be 0 (labels) or {N_CHANNELS}, got {channels}")
-        geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))
-    except (TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+        geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))  # ValidationError if not positive
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"invalid desk header: {exc}") from exc
     raw = path.with_suffix(".raw").read_bytes()
     n_elem = max(channels, 1) * geometry.n_voxels

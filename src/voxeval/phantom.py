@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ValidationError
 from .grid import (
@@ -151,6 +150,8 @@ def _apply_model(one_hot: np.ndarray, model: PredictionModel) -> np.ndarray:
     if model.kind == "perfect":
         return one_hot
     if model.kind == "blurred":
+        from scipy.ndimage import gaussian_filter  # imported here so that `import voxeval` needs numpy only
+
         blurred = np.stack([gaussian_filter(ch, model.sigma) for ch in one_hot])
         sums = blurred.sum(axis=0, dtype=np.float64)
         return np.clip(blurred / sums[np.newaxis], 0.0, 1.0).astype(np.float32)

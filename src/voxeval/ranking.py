@@ -10,7 +10,7 @@ name.
 import math
 from dataclasses import dataclass
 
-from scipy.stats import rankdata
+import numpy as np
 
 from .errors import ValidationError
 from .metrics import METRIC_NAMES
@@ -21,6 +21,31 @@ METRIC_DIRECTIONS = {
     "ece": "ascending",
     "crps": "ascending",
 }
+
+
+def average_ranks(values, axis: int = -1) -> np.ndarray:
+    """Tie-averaged ranks along ``axis``, 1 = smallest, for finite input.
+
+    A stable argsort orders each line; a run of equal sorted values
+    (exact ``!=``, so -0.0 ties with 0.0) spanning sorted positions
+    start..end gets (start + end + 2) / 2. Every rank is a half-integer,
+    so the result equals scipy.stats.rankdata(method="average") bit for
+    bit.
+    """
+    a = np.moveaxis(np.asarray(values), axis, -1)
+    order = np.argsort(a, axis=-1, kind="stable")
+    ordered = np.take_along_axis(a, order, axis=-1)
+    n = a.shape[-1]
+    position = np.arange(n)
+    new_run = np.ones(a.shape, dtype=bool)
+    new_run[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    run_end = np.ones(a.shape, dtype=bool)
+    run_end[..., :-1] = new_run[..., 1:]
+    start = np.maximum.accumulate(np.where(new_run, position, 0), axis=-1)
+    end = np.minimum.accumulate(np.where(run_end, position, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, (start + end + 2) / 2.0, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
 
 
 def rank_metric(values: dict[str, float], direction: str) -> dict[str, float]:
@@ -34,7 +59,7 @@ def rank_metric(values: dict[str, float], direction: str) -> dict[str, float]:
             raise ValidationError(f"non-finite value {v!r} for algorithm {name!r}")
     names = sorted(values)
     keys = [values[n] if direction == "ascending" else -values[n] for n in names]
-    ranks = rankdata(keys, method="average")
+    ranks = average_ranks(keys)
     return {n: float(r) for n, r in zip(names, ranks)}
 
 

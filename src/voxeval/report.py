@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 from .grid import CLASS_NAMES
 from .manifest import DatasetManifest
 from .metrics import METRIC_NAMES, CaseMetrics
-from .ranking import RankingTable
+from .ranking import RankingTable, average_ranks
 from .stability import BootstrapSummary
 
 SCHEMA_VERSION = 1
@@ -139,7 +138,7 @@ def correlations(case_metrics: list[CaseMetrics], per_organ: bool = False) -> Co
     if len(points) < 3:
         raise ValidationError(f"need at least 3 pooled points for correlations, got {len(points)}")
     columns = np.array(points, dtype=np.float64).T  # (4, n)
-    ranked = np.vstack([rankdata(c, method="average") for c in columns])
+    ranked = average_ranks(columns, axis=1)
     return CorrelationMatrix(
         metrics=METRIC_NAMES,
         pearson=_corr_from_columns(columns),

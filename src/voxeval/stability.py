@@ -12,21 +12,21 @@ same scheme can match the numbers exactly.
 
 Design: the resample indices of all iterations are drawn first into one
 (iterations, n_cases) matrix. Iterations are then ranked BLOCK_ITERATIONS
-at a time, one gather, mean and ``rankdata`` call per block and metric.
-Each mean sums its resampled cases in draw order, exactly as a loop over
-single iterations would, so no output byte depends on the block size.
-The block bounds the gather buffer to BLOCK_ITERATIONS x n_cases x
-n_algorithms floats.
+at a time: per block and metric, one gather and mean, then one row-wise
+``ranking.average_ranks`` call, the ranking ``rank_metric`` uses for a
+single iteration. Each mean sums its resampled cases in draw order,
+exactly as a loop over single iterations would, so no output byte depends
+on the block size. The block bounds the gather buffer to
+BLOCK_ITERATIONS x n_cases x n_algorithms floats.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ParameterError, ValidationError
 from .metrics import METRIC_NAMES, CaseMetrics
-from .ranking import METRIC_DIRECTIONS
+from .ranking import METRIC_DIRECTIONS, average_ranks
 
 #: Iterations ranked per vectorized step.
 BLOCK_ITERATIONS = 256
@@ -91,6 +91,8 @@ def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndar
     ``values.T[block]`` is C-ordered (block, n_cases, n_alg), so each mean
     adds its cases one at a time in draw order, algorithms on the inner
     axis: the summation numpy gives a single iteration's ``values[:, idx]``.
+    ``average_ranks`` then ranks each row of signed means on its own, so an
+    iteration's ranks equal those ``rank_metric`` gives for the same means.
     """
     sign = -1.0 if direction == "descending" else 1.0
     by_case = values.T
@@ -98,7 +100,7 @@ def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndar
     for start in range(0, len(idx), BLOCK_ITERATIONS):
         block = idx[start : start + BLOCK_ITERATIONS]
         means = by_case[block].mean(axis=1)
-        ranks[start : start + len(block)] = rankdata(sign * means, method="average", axis=1)
+        ranks[start : start + len(block)] = average_ranks(sign * means, axis=1)
     return ranks
 
 
@@ -133,11 +135,14 @@ def bootstrap_ranks(
             mean = float(column.mean())
             std = float(column.std())
             occupied, counts = np.unique(column, return_counts=True)
+            # np.median's value, without its NaN check that imports numpy.ma
+            ordered = np.sort(column)
+            median = (ordered[(iterations - 1) // 2] + ordered[iterations // 2]) / 2
             freq = {float(r): float(c) / iterations for r, c in zip(occupied, counts)}
             stats[metric][a] = RankStats(
                 mean_rank=mean,
                 std_rank=std,
-                median_rank=float(np.median(column)),
+                median_rank=float(median),
                 ci_low=mean - 1.96 * std,
                 ci_high=mean + 1.96 * std,
                 rank_frequency=freq,

@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import voxeval
 from voxeval.cli import main
 
 PHANTOM_SPEC = {
@@ -44,6 +48,26 @@ def tree_hash(root: Path) -> dict:
     }
 
 
+# Prints the scipy modules loaded when the interpreter exits.
+SCIPY_PROBE = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print('scipy modules:', json.dumps(sorted(\n"
+    "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))))\n"
+)
+
+
+def scipy_modules_at_exit(code: str, *args: str) -> tuple[int, list[str]]:
+    """Run ``code`` after SCIPY_PROBE in a fresh interpreter -> (exit code, scipy modules)."""
+    src = str(Path(voxeval.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE + code, *args], env=env, capture_output=True, text=True
+    )
+    report = [line for line in proc.stdout.splitlines() if line.startswith("scipy modules:")]
+    assert len(report) == 1, proc.stdout + proc.stderr
+    return proc.returncode, json.loads(report[0].split(":", 1)[1])
+
+
 @pytest.fixture
 def phantom_dir(tmp_path):
     assert main(["phantom", str(write_spec(tmp_path)), "--out", str(tmp_path / "data")]) == 0
@@ -65,6 +89,18 @@ def test_phantom_then_evaluate_end_to_end(phantom_dir, tmp_path, capsys):
     assert meta["config"]["seed"] == 4
     assert meta["manifest_sha256"]
     assert meta["skipped_cases"] == []
+
+
+def test_evaluate_and_package_import_load_no_scipy(phantom_dir, tmp_path):
+    code, loaded = scipy_modules_at_exit(
+        "import runpy; runpy.run_module('voxeval.cli', run_name='__main__')",
+        "evaluate", str(phantom_dir / "manifest.json"),
+        "--out", str(tmp_path / "report"), "--iterations", "20",
+    )
+    assert code == 0
+    assert (tmp_path / "report" / "ranking.csv").is_file()
+    assert loaded == []
+    assert scipy_modules_at_exit("import voxeval") == (0, [])
 
 
 def test_rerun_is_byte_identical_and_inputs_untouched(phantom_dir, tmp_path):
@@ -206,6 +242,19 @@ def test_validate_nan_vox_offset_is_exit_2_naming_file(phantom_dir, capsys):
     err = capsys.readouterr().err
     assert victim.name in err
     assert "vox_offset nan" in err
+
+
+def test_validate_desk_zero_dim_is_exit_2_naming_file(phantom_dir, capsys):
+    victim = phantom_dir / "volumes" / "flat_pred.json"
+    victim.write_text('{"dims": [0, 4, 4], "spacing_mm": [1, 1, 1], "dtype": "float32", "channels": 4}')
+    manifest_path = phantom_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["cases"][0]["algorithm_predictions"]["good"] = "volumes/flat_pred.json"
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["validate", str(manifest_path)]) == 2
+    err = capsys.readouterr().err
+    assert victim.name in err
+    assert "invalid desk header: dims must be 3 positive integers" in err
 
 
 def test_phantom_bad_spec_is_exit_1(tmp_path, capsys):

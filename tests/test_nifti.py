@@ -313,6 +313,18 @@ def test_desk_truncated_payload_is_format_error(tmp_path):
         read_volume(tmp_path / "x.json")
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    ['"dims": [0, 4, 4], "spacing_mm": [1, 1, 1]', '"dims": [4, 4, 4], "spacing_mm": [0, 1, 1]'],
+    ids=["zero-dim", "zero-spacing"],
+)
+def test_desk_bad_geometry_is_format_error_naming_file(tmp_path, geometry):
+    (tmp_path / "x.json").write_text('{' + geometry + ', "dtype": "uint8", "channels": 0}')
+    (tmp_path / "x.raw").write_bytes(b"\x00" * 64)
+    with pytest.raises(FormatError, match="x.json: invalid desk header: (dims|spacing) must be 3 positive"):
+        read_volume(tmp_path / "x.json")
+
+
 def test_read_volume_adds_path_context(tmp_path):
     p = tmp_path / "nope.nii"
     with pytest.raises(VolumeIOError, match="nope.nii"):

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from conftest import average_ranks, make_case_metrics
+from voxeval import ranking
 from voxeval.errors import ValidationError
 from voxeval.ranking import (
     composite_ranking,
@@ -128,6 +131,52 @@ def test_scale_invariance_under_monotone_transforms(eighths):
     base = rank_metric(named, "ascending")
     for transform in (lambda v: 2.0 * v + 5.0, math.log, lambda v: v**3):
         assert rank_metric({k: transform(v) for k, v in named.items()}, "ascending") == base
+
+
+# Finite keys that stress tie detection: signed zeros, one-ulp neighbours,
+# subnormals and extremes, mixed with arbitrary finite floats.
+ONE_ULP = [0.3, float(np.nextafter(0.3, 1.0)), float(np.nextafter(0.3, -1.0))]
+TIE_POOL = [0.0, -0.0, 1.0, -1.0, *ONE_ULP, 5e-324, -5e-324, 1.7e308, -1.7e308]
+RANK_KEYS = st.one_of(st.sampled_from(TIE_POOL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def key_matrices(draw):
+    """(rows, cols) keys; some rows are made all-equal."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    keys = np.array(draw(st.lists(st.lists(RANK_KEYS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    flat = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    keys[flat] = keys[flat, :1]
+    return keys
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RANK_KEYS, min_size=1, max_size=20))
+def test_average_ranks_matches_scipy_1d(values):
+    for keys in (values, [-v for v in values]):  # ascending and descending metrics
+        assert_same_bytes(ranking.average_ranks(keys), rankdata(keys, method="average"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_matrices())
+def test_average_ranks_matches_scipy_rowwise(keys):
+    for signed in (keys, -keys):
+        assert_same_bytes(ranking.average_ranks(signed, axis=1), rankdata(signed, method="average", axis=1))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[2.5], [0.0, -0.0, 0.0], ONE_ULP, [[7.0, 7.0, 7.0], [1.0, -0.0, 0.0]], [[3.0], [1.0]]],
+    ids=["length-1", "signed-zeros", "one-ulp", "all-equal-row", "one-column"],
+)
+def test_average_ranks_edge_cases_match_scipy(keys):
+    axis = np.ndim(keys) - 1
+    assert_same_bytes(ranking.average_ranks(keys, axis=axis), rankdata(keys, method="average", axis=axis))
 
 
 def test_ranks_match_direct_enumeration(rng):
