@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -37,14 +37,7 @@ from .metrics import METRIC_NAMES, CaseMetrics, EvalConfig, evaluate_case
 from .nifti import read_volume
 from .phantom import write_dataset
 from .ranking import composite_ranking, rank_cases
-from .report import (
-    RANKING_COLUMNS,
-    aggregate,
-    correlations,
-    emit,
-    manifest_sha256,
-    ranking_records,
-)
+from .report import aggregate, correlations, emit, manifest_sha256, write_ranking
 from .stability import bootstrap_ranks, bubble_export
 
 EXIT_OK = 0
@@ -53,38 +46,23 @@ EXIT_IO = 2
 EXIT_METRIC = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(EvalConfig):
+    """One `evaluate` run: the per-pair metric options it inherits plus the run-level ones."""
+
     manifest: str
     out_dir: str
-    threshold: float = 0.5
-    argmax_mode: bool = False
-    ece_bins: int = 10
-    eq2_literal: bool = False
-    ece_per_class: bool = False
-    ece_exclude_dissensus: bool = False
-    sigma_convention: str = "population"
     renormalize: bool = False
     iterations: int = 500
     seed: int = 0
     group: str | None = None
-    classes: tuple[int, ...] = ORGAN_CLASSES
     skip_bad_cases: bool = False
     parallel_cases: int = 1
     rank_per_case: bool = False
     correlations_per_organ: bool = False
 
     def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            threshold=self.threshold,
-            argmax_mode=self.argmax_mode,
-            ece_bins=self.ece_bins,
-            eq2_literal=self.eq2_literal,
-            ece_per_class=self.ece_per_class,
-            ece_exclude_dissensus=self.ece_exclude_dissensus,
-            sigma_convention=self.sigma_convention,
-            classes=self.classes,
-        )
+        return EvalConfig(**{f.name: getattr(self, f.name) for f in fields(EvalConfig)})
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -92,7 +70,7 @@ class RunConfig:
         if self.parallel_cases < 1:
             raise ValidationError(f"parallel-cases must be >= 1, got {self.parallel_cases}")
         try:
-            self.eval_config()
+            super().__post_init__()
         except ParameterError as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -204,12 +182,15 @@ def run_evaluate(config: RunConfig) -> int:
 
 def run_phantom(spec_path, out_dir) -> int:
     try:
-        doc = json.loads(Path(spec_path).read_text())
+        doc = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read phantom spec {spec_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ValidationError(f"phantom spec {spec_path} is not valid JSON: {exc}") from exc
-    manifest_path = write_dataset(doc, out_dir)
+    try:
+        manifest_path = write_dataset(doc, out_dir)
+    except ValidationError as exc:
+        raise ValidationError(f"phantom spec {spec_path}: {exc}") from exc
     print(f"phantom dataset written; manifest at {manifest_path}")
     return EXIT_OK
 
@@ -219,10 +200,12 @@ def run_rank_table(csv_path, out_dir) -> int:
         with open(csv_path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
             rows = list(reader)
-            fields = reader.fieldnames or []
+            columns = reader.fieldnames or []
     except OSError as exc:
         raise ValidationError(f"cannot read {csv_path}: {exc}") from exc
-    missing = [c for c in ("algorithm", *METRIC_NAMES) if c not in fields]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{csv_path} is not a UTF-8 CSV file: {exc}") from exc
+    missing = [c for c in ("algorithm", *METRIC_NAMES) if c not in columns]
     if missing:
         raise ValidationError(f"{csv_path}: missing required columns {missing}")
     if not rows:
@@ -237,18 +220,15 @@ def run_rank_table(csv_path, out_dir) -> int:
             try:
                 values[m][name] = float(row[m])
             except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad {m} value {row[m]!r} for {name!r}") from exc
+                raise ValidationError(f"{csv_path}: bad {m} value {row[m]!r} for {name!r}") from exc
 
-    table = composite_ranking(values)
+    try:
+        table = composite_ranking(values)
+    except ValidationError as exc:
+        raise ValidationError(f"{csv_path}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = ranking_records(table)
-    with open(out / "ranking.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RANKING_COLUMNS)
-        for r in records:
-            writer.writerow([r[c] for c in RANKING_COLUMNS])
-    (out / "ranking.json").write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    write_ranking(out, table)
 
     width = max(len(r.algorithm) for r in table.rows)
     header = f"{'rank':>4}  {'algorithm':<{width}}  " + "  ".join(f"{m + '(rk)':>16}" for m in METRIC_NAMES) + "  composite"
@@ -288,23 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"voxeval {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("evaluate", help="evaluate a manifest end to end")
+    # No defaults here: an option left out keeps RunConfig's default, and each dest is a RunConfig field.
+    ev = sub.add_parser("evaluate", help="evaluate a manifest end to end", argument_default=argparse.SUPPRESS)
     ev.add_argument("manifest")
-    ev.add_argument("--out", required=True, help="output directory for report artifacts")
-    ev.add_argument("--threshold", type=float, default=0.5, help="Dice binarization threshold (default 0.5)")
-    ev.add_argument("--argmax", action="store_true", help="binarize by winning channel instead of threshold")
-    ev.add_argument("--ece-bins", type=int, default=10, help="calibration bin count (default 10)")
+    ev.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory for report artifacts")
+    ev.add_argument("--threshold", type=float, help="Dice binarization threshold (default 0.5)")
+    ev.add_argument("--argmax", dest="argmax_mode", action="store_true", help="binarize by winning channel instead of threshold")
+    ev.add_argument("--ece-bins", type=int, help="calibration bin count (default 10)")
     ev.add_argument("--eq2-literal", action="store_true", help="weight calibration bins by count/M instead of count/N")
     ev.add_argument("--ece-per-class", action="store_true", help="one-vs-rest calibration per organ instead of multiclass")
     ev.add_argument("--ece-exclude-dissensus", action="store_true", help="restrict calibration to rater-unanimous voxels")
-    ev.add_argument("--sigma-convention", choices=["population", "sample"], default="population")
+    ev.add_argument("--sigma-convention", choices=["population", "sample"])
     ev.add_argument("--renormalize", action="store_true", help="renormalize probability voxels instead of rejecting bad sums")
-    ev.add_argument("--iterations", type=int, default=500, help="bootstrap iterations (default 500)")
-    ev.add_argument("--seed", type=int, default=0, help="bootstrap RNG seed (default 0)")
+    ev.add_argument("--iterations", type=int, help="bootstrap iterations (default 500)")
+    ev.add_argument("--seed", type=int, help="bootstrap RNG seed (default 0)")
     ev.add_argument("--group", choices=["A", "B", "C"], help="restrict to one clinical group")
-    ev.add_argument("--classes", default="pancreas,kidney,liver", help="comma-separated organ subset")
+    ev.add_argument("--classes", help="comma-separated organ subset")
     ev.add_argument("--skip-bad-cases", action="store_true", help="skip unreadable cases instead of aborting")
-    ev.add_argument("--parallel-cases", type=int, default=1, metavar="N", help="evaluate N cases concurrently")
+    ev.add_argument("--parallel-cases", type=int, metavar="N", help="evaluate N cases concurrently")
     ev.add_argument("--rank-per-case", action="store_true", help="average within-case ranks instead of ranking case means")
     ev.add_argument("--correlations-per-organ", action="store_true", help="pool per-organ points for the correlation matrix")
 
@@ -325,27 +306,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "evaluate":
-            config = RunConfig(
-                manifest=args.manifest,
-                out_dir=args.out,
-                threshold=args.threshold,
-                argmax_mode=args.argmax,
-                ece_bins=args.ece_bins,
-                eq2_literal=args.eq2_literal,
-                ece_per_class=args.ece_per_class,
-                ece_exclude_dissensus=args.ece_exclude_dissensus,
-                sigma_convention=args.sigma_convention,
-                renormalize=args.renormalize,
-                iterations=args.iterations,
-                seed=args.seed,
-                group=args.group,
-                classes=_parse_classes(args.classes),
-                skip_bad_cases=args.skip_bad_cases,
-                parallel_cases=args.parallel_cases,
-                rank_per_case=args.rank_per_case,
-                correlations_per_organ=args.correlations_per_organ,
-            )
-            return run_evaluate(config)
+            options = {k: v for k, v in vars(args).items() if k != "command"}
+            if "classes" in options:
+                options["classes"] = _parse_classes(options["classes"])
+            return run_evaluate(RunConfig(**options))
         if args.command == "phantom":
             return run_phantom(args.spec, args.out)
         if args.command == "rank-table":

@@ -6,6 +6,7 @@ Affine/orientation metadata is deliberately not modelled; volumes are
 compared grid-to-grid.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ class GridGeometry:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
             raise ValidationError(f"dims must be 3 positive integers, got {self.dims!r}")
-        if len(self.spacing) != 3 or any(not (float(s) > 0) for s in self.spacing):
-            raise ValidationError(f"spacing must be 3 positive reals, got {self.spacing!r}")
+        if len(self.spacing) != 3 or any(not 0 < float(s) < math.inf for s in self.spacing):
+            raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
 
@@ -115,9 +116,7 @@ class ProbabilityVolume:
         c.flags.writeable = False  # volumes are immutable once built
 
 
-def validate_probability_sums(
-    channels: np.ndarray, tolerance: float = CHANNEL_SUM_TOLERANCE, renormalize: bool = False
-) -> np.ndarray:
+def validate_probability_sums(channels: np.ndarray, renormalize: bool = False) -> np.ndarray:
     """Check per-voxel channel sums; optionally divide each voxel by its sum.
 
     Returns the (possibly renormalized) channel array. Raises
@@ -151,9 +150,9 @@ def validate_probability_sums(
         )
     err = np.abs(sums - 1.0)
     worst = int(np.argmax(err))
-    if err.flat[worst] > tolerance:
+    if err.flat[worst] > CHANNEL_SUM_TOLERANCE:
         raise ChannelSumError(
             f"probability channels sum to {sums.flat[worst]:.6f} at voxel {where(worst, sums.shape)} "
-            f"(|sum - 1| = {err.flat[worst]:.2e} > {tolerance:g})"
+            f"(|sum - 1| = {err.flat[worst]:.2e} > {CHANNEL_SUM_TOLERANCE:g})"
         )
     return channels

@@ -74,27 +74,36 @@ def _require(condition: bool, message: str):
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest file.
 
-    Raises ValidationError with a specific message for duplicate case
-    ids, unknown groups, missing files, inconsistent rater counts, and
-    inconsistent algorithm sets.
+    Raises ValidationError naming the file, with a specific message for
+    duplicate case ids, unknown groups, non-string or missing files,
+    inconsistent rater counts, and inconsistent algorithm sets.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
+    try:
+        return DatasetManifest(path, _parse_cases(doc, path.parent))
+    except ValidationError as exc:
+        raise ValidationError(f"manifest {path}: {exc}") from exc
 
-    _require(isinstance(doc, dict) and "cases" in doc, f"manifest {path} must be an object with a 'cases' list")
+
+def _is_path(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _parse_cases(doc, base: Path) -> tuple[CaseEntry, ...]:
+    _require(isinstance(doc, dict) and "cases" in doc, "must be an object with a 'cases' list")
     raw_cases = doc["cases"]
-    _require(isinstance(raw_cases, list) and raw_cases, f"manifest {path}: 'cases' must be a non-empty list")
+    _require(isinstance(raw_cases, list) and raw_cases, "'cases' must be a non-empty list")
 
-    base = path.parent
     cases: list[CaseEntry] = []
     seen_ids: set[str] = set()
     for i, entry in enumerate(raw_cases):
-        where = f"manifest case #{i}"
+        where = f"case #{i}"
         _require(isinstance(entry, dict), f"{where} must be an object")
         for key in ("case_id", "group", "rater_annotations", "algorithm_predictions"):
             _require(key in entry, f"{where} missing key {key!r}")
@@ -106,8 +115,10 @@ def load_manifest(path) -> DatasetManifest:
         _require(group in GROUPS, f"case {case_id}: unknown group {group!r}; expected one of {GROUPS}")
         raters = entry["rater_annotations"]
         _require(isinstance(raters, list) and len(raters) >= 2, f"case {case_id}: need at least 2 rater annotations")
+        _require(all(map(_is_path, raters)), f"case {case_id}: rater annotations must be path strings, got {raters!r}")
         preds = entry["algorithm_predictions"]
         _require(isinstance(preds, dict) and preds, f"case {case_id}: algorithm_predictions must be a non-empty map")
+        _require(all(map(_is_path, preds.values())), f"case {case_id}: prediction paths must be strings, got {preds!r}")
 
         rater_paths = tuple((base / p) for p in raters)
         pred_paths = {name: base / p for name, p in sorted(preds.items())}
@@ -126,4 +137,4 @@ def load_manifest(path) -> DatasetManifest:
         len(algo_sets) == 1,
         f"inconsistent algorithm sets across cases: {sorted(algo_sets)}",
     )
-    return DatasetManifest(path, tuple(cases))
+    return tuple(cases)

@@ -44,6 +44,8 @@ from .grid import (
 HEADER_SIZE = 348
 MAGIC = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
+#: Largest piece of a gzip stream inflated at once, and of compressed input fed to zlib at once.
+INFLATE_BYTES = 1 << 16
 
 # datatype code -> (numpy base dtype, bitpix)
 DTYPE_CODES = {
@@ -68,17 +70,104 @@ _HONORED_FIELDS = {
 }
 
 
-def _read_bytes(path: Path) -> bytes:
-    raw = path.read_bytes()
-    if raw[:2] == GZIP_MAGIC:
-        try:
-            raw = gzip.decompress(raw)
-        except (EOFError, OSError, zlib.error) as exc:
-            raise FormatError(f"corrupt gzip stream: {exc}") from exc
-    return raw
+def _read_bytes(path: Path) -> tuple[np.ndarray, dict]:
+    """The validated header fields and the file's bytes up to the payload end they declare.
+
+    Nothing past that end is held: a plain file is not read further, and
+    the rest of a gzip stream is inflated in INFLATE_BYTES pieces and
+    dropped, so its CRC and length are still checked.
+    """
+    with open(path, "rb") as f:
+        if f.read(2) != GZIP_MAGIC:
+            f.seek(0)
+            return _read_declared(f)
+        f.seek(0)
+        stream = _Gunzip(f.read())
+    try:
+        raw, fields = _read_declared(stream)
+        stream.drain()
+    except (EOFError, zlib.error) as exc:
+        raise FormatError(f"corrupt gzip stream: {exc}") from exc
+    return raw, fields
+
+
+def _inflate(data: bytes):
+    """Yield the inflated bytes of the gzip stream ``data`` in pieces of at most INFLATE_BYTES.
+
+    Every member is read in turn, skipping zero padding after each, as
+    gzip does. zlib checks each member's CRC-32 and length; a corrupt or
+    truncated stream raises zlib.error or EOFError.
+    """
+    view, pos = memoryview(data), 0
+    while pos < len(view):
+        inflater, tail = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS), b""  # gzip framing
+        while not inflater.eof:
+            if not tail:
+                if pos == len(view):
+                    raise EOFError("compressed stream ended before the end-of-stream marker")
+                tail = view[pos : pos + INFLATE_BYTES]
+                pos += len(tail)
+            yield inflater.decompress(tail, INFLATE_BYTES)
+            tail = inflater.unconsumed_tail
+        pos -= len(inflater.unused_data)
+        while pos < len(view) and view[pos] == 0:
+            pos += 1
+
+
+class _Gunzip:
+    """A gzip stream held in memory, read like a file with ``readinto``."""
+
+    def __init__(self, data: bytes):
+        self._pieces = _inflate(data)
+        self._left = memoryview(b"")  # inflated bytes not yet handed out
+
+    def readinto(self, buf) -> int:
+        view, n = memoryview(buf), 0
+        while n < len(view):
+            if not self._left:
+                piece = next(self._pieces, None)
+                if piece is None:
+                    break
+                self._left = memoryview(piece)
+            k = min(len(view) - n, len(self._left))
+            view[n : n + k] = self._left[:k]
+            self._left = self._left[k:]
+            n += k
+        return n
+
+    def drain(self) -> None:
+        """Inflate and drop the rest of the stream."""
+        for _ in self._pieces:
+            pass
+
+
+def _read_declared(stream) -> tuple[np.ndarray, dict]:
+    head = bytearray(HEADER_SIZE)
+    head = head[: stream.readinto(head)]
+    fields = _parse_header(head)
+    raw = _read_upto(stream, fields["end"], head)
+    if len(raw) < fields["end"]:
+        raise FormatError(
+            f"payload truncated: need {fields['end'] - fields['vox_offset']} bytes at offset "
+            f"{fields['vox_offset']}, file has {len(raw) - fields['vox_offset']}"
+        )
+    return raw, fields
+
+
+def _read_upto(stream, end: int, head=b"") -> np.ndarray:
+    """The first ``end`` bytes of ``stream`` (fewer if it ends first), ``head`` being those already read."""
+    try:
+        buf = np.empty(end, dtype=np.uint8)  # pages the stream does not fill are never touched
+    except (MemoryError, ValueError) as exc:
+        raise FormatError(f"header declares {end} bytes, more than can be held: {exc}") from exc
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    return buf[: len(head) + stream.readinto(buf[len(head) :])]
 
 
 def _parse_header(raw: bytes) -> dict:
+    """Honored header fields, validated, plus the payload's numpy ``dtype``,
+    ``geometry``, ``channels`` (0 for a 3D volume), integer ``vox_offset``
+    and ``end`` offset."""
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"file too small for a NIfTI-1 header ({len(raw)} bytes)")
     (le_probe,) = struct.unpack_from("<i", raw, 0)
@@ -91,17 +180,13 @@ def _parse_header(raw: bytes) -> dict:
                 f"sizeof_hdr is {le_probe} (LE) / {be_probe} (BE), expected {HEADER_SIZE}"
             )
         endian = ">"
-    fields = {"endian": endian}
+    fields = {}
     for name, (offset, fmt) in _HONORED_FIELDS.items():
         values = struct.unpack_from(endian + fmt, raw, offset)
         fields[name] = values[0] if len(values) == 1 else values
     if fields["magic"] != MAGIC:
         raise FormatError(f"bad magic {fields['magic']!r}, expected {MAGIC!r}")
-    return fields
 
-
-def _decode_payload(raw: bytes, fields: dict) -> tuple[np.ndarray, GridGeometry]:
-    """Returns the array in memory layout ([x,y,z] or [c,x,y,z]) plus geometry."""
     code = fields["datatype"]
     if code not in DTYPE_CODES:
         raise UnsupportedDtypeError(f"datatype code {code} not in supported set {sorted(DTYPE_CODES)}")
@@ -116,32 +201,36 @@ def _decode_payload(raw: bytes, fields: dict) -> tuple[np.ndarray, GridGeometry]
     dims = tuple(int(d) for d in dim[1:4])
     if any(d < 1 for d in dims):
         raise FormatError(f"non-positive spatial dims {dims}")
-    channels = int(dim[4]) if ndim == 4 else 1
+    channels = int(dim[4]) if ndim == 4 else 0
     if ndim == 4 and channels != N_CHANNELS:
         raise ShapeError(f"4D volume has {channels} channels, expected {N_CHANNELS}")
 
     spacing = tuple(float(s) for s in fields["pixdim"][1:4])
-    if any(not s > 0 for s in spacing):
-        raise FormatError(f"non-positive pixdim spacing {spacing}")
+    if any(not 0 < s < math.inf for s in spacing):
+        raise FormatError(f"non-positive or non-finite pixdim spacing {spacing}")
     geometry = GridGeometry(dims, spacing)
 
     if not HEADER_SIZE <= fields["vox_offset"] < math.inf:  # NaN fails too
         raise FormatError(f"vox_offset {fields['vox_offset']} is not a finite value >= {HEADER_SIZE}")
     vox_offset = int(fields["vox_offset"])
-    n_elem = channels * geometry.n_voxels
-    n_bytes = n_elem * (bitpix // 8)
-    if len(raw) < vox_offset + n_bytes:
-        raise FormatError(
-            f"payload truncated: need {n_bytes} bytes at offset {vox_offset}, "
-            f"file has {len(raw) - vox_offset}"
-        )
-    arr = np.frombuffer(raw, dtype=np.dtype(fields["endian"] + base), count=n_elem, offset=vox_offset)
-    arr = _to_memory_layout(arr, dims, channels if ndim == 4 else 0)
+    dtype = np.dtype(endian + base)
+    n_bytes = max(channels, 1) * geometry.n_voxels * dtype.itemsize
+    return {**fields, "dtype": dtype, "geometry": geometry, "channels": channels,
+            "vox_offset": vox_offset, "end": vox_offset + n_bytes}
+
+
+def _decode_payload(raw: np.ndarray, fields: dict) -> np.ndarray:
+    """The payload as an owned array in memory layout ([x,y,z] or [c,x,y,z]), scaled."""
+    geometry, channels = fields["geometry"], fields["channels"]
+    n_elem = max(channels, 1) * geometry.n_voxels
+    arr = np.frombuffer(raw, dtype=fields["dtype"], count=n_elem, offset=fields["vox_offset"])
+    arr = _to_memory_layout(arr, geometry.dims, channels)
 
     slope, inter = float(fields["scl_slope"]), float(fields["scl_inter"])
     if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        arr = arr * slope + inter
-    return arr, geometry
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
+            arr = arr * slope + inter
+    return arr
 
 
 def _to_memory_layout(flat: np.ndarray, dims, channels: int) -> np.ndarray:
@@ -157,8 +246,8 @@ def _to_memory_layout(flat: np.ndarray, dims, channels: int) -> np.ndarray:
 def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
     if arr.dtype.kind == "f":
         rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise FormatError("3D volume holds non-integer values; cannot be a label map")
+        if not (np.array_equal(rounded, arr) and np.isfinite(arr).all()):
+            raise FormatError("3D volume holds non-integer or non-finite values; cannot be a label map")
         arr = rounded
     if arr.size and (arr.min() < 0 or arr.max() >= N_CHANNELS):
         bad = int(arr.min()) if arr.min() < 0 else int(arr.max())
@@ -182,14 +271,12 @@ def read_nifti(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolu
     ``renormalize`` flag divides each voxel of a probability map by its
     channel sum instead of rejecting out-of-tolerance sums.
     """
-    path = Path(path)
-    raw = _read_bytes(path)
-    fields = _parse_header(raw)
-    arr, geometry = _decode_payload(raw, fields)
+    raw, fields = _read_bytes(Path(path))
+    arr = _decode_payload(raw, fields)
     del raw  # the array is an owned copy; free the file bytes before validation
-    if arr.ndim == 3:
-        return _as_label(arr, geometry)
-    return _as_probability(arr, geometry, renormalize)
+    if fields["channels"] == 0:
+        return _as_label(arr, fields["geometry"])
+    return _as_probability(arr, fields["geometry"], renormalize)
 
 
 def _nifti_dtype_code(arr: np.ndarray) -> tuple[int, int]:
@@ -260,9 +347,10 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
         geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))  # ValidationError if not positive
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"invalid desk header: {exc}") from exc
-    raw = path.with_suffix(".raw").read_bytes()
     n_elem = max(channels, 1) * geometry.n_voxels
     dtype = np.dtype("<" + DESK_DTYPES[meta["dtype"]])
+    with open(path.with_suffix(".raw"), "rb") as f:
+        raw = _read_upto(f, n_elem * dtype.itemsize)
     if len(raw) < n_elem * dtype.itemsize:
         raise FormatError(f"desk payload has {len(raw) // dtype.itemsize} elements, expected {n_elem}")
     arr = np.frombuffer(raw, dtype=dtype, count=n_elem)

@@ -36,6 +36,7 @@ from .grid import (
     LabelVolume,
     ProbabilityVolume,
 )
+from .manifest import GROUPS
 from .nifti import write_nifti
 
 
@@ -45,7 +46,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 1:
+        if not self.radius >= 1:  # NaN fails too
             raise ValidationError(f"sphere radius must be >= 1, got {self.radius}")
 
 
@@ -58,8 +59,8 @@ class PredictionModel:
     def __post_init__(self):
         if self.kind not in ("perfect", "blurred", "miscalibrated"):
             raise ValidationError(f"unknown prediction model {self.kind!r}")
-        if self.kind == "blurred" and not self.sigma > 0:
-            raise ValidationError(f"blurred model needs sigma > 0, got {self.sigma}")
+        if self.kind == "blurred" and not 0 < self.sigma < math.inf:
+            raise ValidationError(f"blurred model needs a finite sigma > 0, got {self.sigma}")
         if self.kind == "miscalibrated" and not -1.0 < self.delta < 1.0:
             raise ValidationError(f"miscalibrated delta must be in (-1, 1), got {self.delta}")
 
@@ -70,7 +71,6 @@ class PhantomSpec:
     spheres: dict[int, Sphere]  # organ class id -> sphere
     rater_deltas: tuple[int, ...]
     prediction: PredictionModel = PredictionModel("perfect")
-    seed: int = 0
 
     def __post_init__(self):
         if not self.spheres or any(c not in ORGAN_CLASSES for c in self.spheres):
@@ -237,33 +237,64 @@ def parse_spec_document(doc: dict) -> dict:
           "seed": 0              // optional
         }
     """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"phantom spec must be a JSON object, got {type(doc).__name__}")
     for key in ("geometry", "spheres", "rater_deltas", "algorithms"):
         if key not in doc:
             raise ValidationError(f"phantom spec missing key {key!r}")
-    geometry = GridGeometry(tuple(doc["geometry"]["dims"]), tuple(doc["geometry"]["spacing_mm"]))
-    ids_by_name = {CLASS_NAMES[c]: c for c in ORGAN_CLASSES}
-    spheres = {}
-    for name, s in doc["spheres"].items():
-        if name not in ids_by_name:
-            raise ValidationError(f"unknown organ class {name!r}; expected one of {sorted(ids_by_name)}")
-        spheres[ids_by_name[name]] = Sphere(tuple(s["center"]), float(s["radius"]))
-    algorithms = {name: parse_model(m) for name, m in doc["algorithms"].items()}
+    geometry = _parse_key(doc, "geometry", lambda g: GridGeometry(tuple(g["dims"]), tuple(g["spacing_mm"])))
+    spheres = _parse_key(doc, "spheres", _parse_spheres)
+    algorithms = _parse_key(doc, "algorithms", lambda a: {name: parse_model(m) for name, m in a.items()})
     if not algorithms:
         raise ValidationError("phantom spec needs at least one algorithm")
     groups = doc.get("groups", ["A"])
-    n_cases = int(doc.get("cases", 1))
-    if n_cases < 1:
-        raise ValidationError(f"cases must be >= 1, got {n_cases}")
-    return {
+    if not (isinstance(groups, list) and groups and all(g in GROUPS for g in groups)):
+        raise ValidationError(f"groups must be a non-empty list drawn from {GROUPS}, got {groups!r}")
+    spec = {
         "geometry": geometry,
         "spheres": spheres,
-        "rater_deltas": tuple(int(d) for d in doc["rater_deltas"]),
+        "rater_deltas": _parse_key(doc, "rater_deltas", lambda d: tuple(int(x) for x in d)),
         "algorithms": algorithms,
-        "groups": list(groups),
-        "cases": n_cases,
-        "radius_jitter": int(doc.get("radius_jitter", 0)),
-        "seed": int(doc.get("seed", 0)),
+        "groups": groups,
+        "cases": _parse_key(doc, "cases", int, 1),
+        "radius_jitter": _parse_key(doc, "radius_jitter", int, 0),
+        "seed": _parse_key(doc, "seed", int, 0),
     }
+    for key, low in (("cases", 1), ("radius_jitter", 0), ("seed", 0)):
+        if spec[key] < low:
+            raise ValidationError(f"{key} must be >= {low}, got {spec[key]}")
+    return spec
+
+
+def _parse_key(doc: dict, key: str, parse, default=None):
+    """``parse(doc[key])``, or of ``default`` if absent; a value of the wrong type or shape is a ValidationError."""
+    try:
+        return parse(doc.get(key, default))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {key!r} in phantom spec: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_spheres(doc: dict) -> dict[int, Sphere]:
+    ids_by_name = {CLASS_NAMES[c]: c for c in ORGAN_CLASSES}
+    spheres = {}
+    for name, s in doc.items():
+        if name not in ids_by_name:
+            raise ValidationError(f"unknown organ class {name!r}; expected one of {sorted(ids_by_name)}")
+        center = tuple(float(x) for x in s["center"])
+        if len(center) != 3 or not all(map(math.isfinite, center)):
+            raise ValidationError(f"sphere {name!r}: center must be 3 finite numbers, got {s['center']!r}")
+        spheres[ids_by_name[name]] = Sphere(center, float(s["radius"]))
+    return spheres
+
+
+def _case_spec(spec: dict, index: int) -> PhantomSpec:
+    """Case ``index`` of a parsed spec, its sphere radii jittered from stream (seed, index)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec["seed"], index))))
+    spheres = {}
+    for c, s in sorted(spec["spheres"].items()):
+        jitter = int(rng.integers(-spec["radius_jitter"], spec["radius_jitter"] + 1)) if spec["radius_jitter"] else 0
+        spheres[c] = Sphere(s.center, s.radius + jitter)
+    return PhantomSpec(geometry=spec["geometry"], spheres=spheres, rater_deltas=spec["rater_deltas"])
 
 
 def write_dataset(doc: dict, out_dir) -> Path:
@@ -274,6 +305,8 @@ def write_dataset(doc: dict, out_dir) -> Path:
     whole directory is reproducible byte-for-byte.
     """
     spec = parse_spec_document(doc)
+    for i in range(spec["cases"]):  # a case that fails its checks stops the run before any file is written
+        _case_spec(spec, i)
     out = Path(out_dir)
     volumes = out / "volumes"
     volumes.mkdir(parents=True, exist_ok=True)
@@ -281,18 +314,8 @@ def write_dataset(doc: dict, out_dir) -> Path:
     manifest_cases = []
     truth_records = {}
     for i in range(spec["cases"]):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec["seed"], i))))
-        spheres = {}
-        for c, s in sorted(spec["spheres"].items()):
-            jitter = int(rng.integers(-spec["radius_jitter"], spec["radius_jitter"] + 1)) if spec["radius_jitter"] else 0
-            spheres[c] = Sphere(s.center, s.radius + jitter)
+        case_spec = _case_spec(spec, i)
         case_id = f"case_{i + 1:03d}"
-        case_spec = PhantomSpec(
-            geometry=spec["geometry"],
-            spheres=spheres,
-            rater_deltas=spec["rater_deltas"],
-            seed=spec["seed"],
-        )
         labels = _rater_labels(case_spec)
         one_hot = _unanimity_one_hot(labels)
         truth = _scan_truth(case_spec, labels)

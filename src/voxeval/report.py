@@ -268,6 +268,15 @@ RANKING_COLUMNS = [
 ]
 
 
+def write_ranking(out: Path, table: RankingTable) -> list[Path]:
+    """Write ``ranking.csv`` and ``ranking.json`` into the existing directory ``out``."""
+    records = ranking_records(table)
+    paths = [out / "ranking.csv", out / "ranking.json"]
+    _write_csv(paths[0], RANKING_COLUMNS, [[r[c] for c in RANKING_COLUMNS] for r in records])
+    _write_json(paths[1], records)
+    return paths
+
+
 def bootstrap_records(summary: BootstrapSummary) -> list[dict]:
     records = []
     for metric in summary.metrics:
@@ -332,9 +341,7 @@ def emit(
         [case_record(cm, group_of[cm.case_id]) for cm in sorted(case_metrics, key=lambda x: (x.case_id, x.algorithm))],
     )
 
-    rank_records = ranking_records(ranking)
-    csv_path("ranking.csv", RANKING_COLUMNS, [[r[c] for c in RANKING_COLUMNS] for r in rank_records])
-    json_path("ranking.json", rank_records)
+    written += write_ranking(out, ranking)
 
     group_header = ["group", "algorithm", "n_cases"]
     for m in METRIC_NAMES:

@@ -3,15 +3,17 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import voxeval
-from voxeval.cli import main
+from voxeval.cli import RunConfig, main
 
 PHANTOM_SPEC = {
     "geometry": {"dims": [28, 28, 28], "spacing_mm": [1.0, 1.0, 1.0]},
@@ -91,6 +93,38 @@ def test_phantom_then_evaluate_end_to_end(phantom_dir, tmp_path, capsys):
     assert meta["skipped_cases"] == []
 
 
+# The config that run_meta.json echoes when no option is given, and the flags that set every
+# option to a value other than its default, with the config they give.
+DEFAULT_CONFIG = {
+    "threshold": 0.5, "argmax_mode": False, "ece_bins": 10, "eq2_literal": False, "ece_per_class": False,
+    "ece_exclude_dissensus": False, "sigma_convention": "population", "classes": [1, 2, 3],
+    "renormalize": False, "iterations": 500, "seed": 0, "group": None, "skip_bad_cases": False,
+    "parallel_cases": 1, "rank_per_case": False, "correlations_per_organ": False,
+}
+EVERY_FLAG = [
+    "--threshold", "0.3", "--argmax", "--ece-bins", "7", "--eq2-literal", "--ece-per-class",
+    "--ece-exclude-dissensus", "--sigma-convention", "sample", "--classes", "liver,1", "--renormalize",
+    "--iterations", "7", "--seed", "5", "--group", "B", "--skip-bad-cases", "--parallel-cases", "2",
+    "--rank-per-case", "--correlations-per-organ",
+]
+EVERY_FLAG_CONFIG = {
+    "threshold": 0.3, "argmax_mode": True, "ece_bins": 7, "eq2_literal": True, "ece_per_class": True,
+    "ece_exclude_dissensus": True, "sigma_convention": "sample", "classes": [3, 1],
+    "renormalize": True, "iterations": 7, "seed": 5, "group": "B", "skip_bad_cases": True,
+    "parallel_cases": 2, "rank_per_case": True, "correlations_per_organ": True,
+}
+
+
+@pytest.mark.parametrize("flags, expected", [([], DEFAULT_CONFIG), (EVERY_FLAG, EVERY_FLAG_CONFIG)], ids=["none", "every"])
+def test_run_meta_config_echoes_each_option(phantom_dir, tmp_path, flags, expected):
+    manifest, out = str(phantom_dir / "manifest.json"), str(tmp_path / "report")
+    assert set(expected) == {f.name for f in fields(RunConfig)} - {"manifest", "out_dir"}
+    assert all(EVERY_FLAG_CONFIG[k] != v for k, v in DEFAULT_CONFIG.items())
+    assert main(["evaluate", manifest, "--out", out, *flags]) == 0
+    config = json.loads((tmp_path / "report" / "run_meta.json").read_text())["config"]
+    assert config == {"manifest": manifest, "out_dir": out, **expected}
+
+
 def test_evaluate_and_package_import_load_no_scipy(phantom_dir, tmp_path):
     code, loaded = scipy_modules_at_exit(
         "import runpy; runpy.run_module('voxeval.cli', run_name='__main__')",
@@ -159,13 +193,60 @@ def test_parallel_evaluation_matches_serial(phantom_dir, tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
-def test_evaluate_validation_errors(tmp_path, phantom_dir):
+def test_evaluate_validation_errors(tmp_path, phantom_dir, capsys):
     assert main(["evaluate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
     bad_config = ["evaluate", str(phantom_dir / "manifest.json"), "--out", str(tmp_path / "o")]
-    assert main(bad_config + ["--threshold", "1.5"]) == 1
-    assert main(bad_config + ["--ece-bins", "1"]) == 1
-    assert main(bad_config + ["--iterations", "0"]) == 1
-    assert main(bad_config + ["--classes", "spleen"]) == 1
+    for flags, message in [
+        (["--threshold", "1.5"], "threshold must be in (0, 1), got 1.5"),
+        (["--ece-bins", "1"], "ece_bins must be >= 2, got 1"),
+        (["--iterations", "0"], "iterations must be >= 1, got 0"),
+        (["--parallel-cases", "0"], "parallel-cases must be >= 1, got 0"),
+        (["--classes", "spleen"], "unknown class 'spleen'; use ids (1, 2, 3) or names ['kidney', 'liver', 'pancreas']"),
+    ]:
+        assert main(bad_config + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+_CASE = {"case_id": "c1", "group": "A", "rater_annotations": ["r1.nii", "r2.nii"], "algorithm_predictions": {"a": "p.nii"}}
+_SPHERES = PHANTOM_SPEC["spheres"]
+# id -> (command, file name, file content); each document must end in exit 1 and an error line naming it.
+HOSTILE_DOCUMENTS = {
+    "manifest-int-rater-paths": ("evaluate", "m.json", {"cases": [dict(_CASE, rater_annotations=[1, 2])]}),
+    "manifest-int-rater-paths-validate": ("validate", "m.json", {"cases": [dict(_CASE, rater_annotations=[1, 2])]}),
+    "manifest-null-prediction-path": ("evaluate", "m.json", {"cases": [dict(_CASE, algorithm_predictions={"a": None})]}),
+    "manifest-not-utf8": ("evaluate", "m.json", b'{"cases": ["\xff"]}'),
+    "rank-table-not-utf8": ("rank-table", "agg.csv", b"algorithm,dsc,confidence,ece,crps\n\xff,1,2,3,4\n"),
+    "rank-table-nan-value": ("rank-table", "agg.csv", b"algorithm,dsc,confidence,ece,crps\nx,nan,1,2,3\ny,1,2,3,4\n"),
+    "spec-geometry-list": ("phantom", "spec.json", dict(PHANTOM_SPEC, geometry=[1, 2])),
+    "spec-sphere-without-radius": (
+        "phantom", "spec.json", dict(PHANTOM_SPEC, spheres=dict(_SPHERES, liver={"center": [14, 20, 20]})),
+    ),
+    "spec-radius-not-a-number": (
+        "phantom", "spec.json", dict(PHANTOM_SPEC, spheres=dict(_SPHERES, liver={"center": [14, 20, 20], "radius": "x"})),
+    ),
+    "spec-no-groups": ("phantom", "spec.json", dict(PHANTOM_SPEC, groups=[])),
+    "spec-unknown-group": ("phantom", "spec.json", dict(PHANTOM_SPEC, groups=["Z"])),
+    "spec-negative-jitter": ("phantom", "spec.json", dict(PHANTOM_SPEC, radius_jitter=-1)),
+    "spec-negative-seed": ("phantom", "spec.json", dict(PHANTOM_SPEC, seed=-1)),
+    "spec-2d-center": ("phantom", "spec.json", dict(PHANTOM_SPEC, spheres=dict(_SPHERES, liver={"center": [14, 20], "radius": 5}))),
+    "spec-nan-radius": (
+        "phantom", "spec.json", dict(PHANTOM_SPEC, spheres=dict(_SPHERES, liver={"center": [14, 20, 20], "radius": math.nan})),
+    ),
+    "spec-infinite-sigma": ("phantom", "spec.json", dict(PHANTOM_SPEC, algorithms={"soft": {"model": "blurred", "sigma": math.inf}})),
+}
+
+
+@pytest.mark.parametrize("command, name, content", list(HOSTILE_DOCUMENTS.values()), ids=list(HOSTILE_DOCUMENTS))
+def test_hostile_document_is_exit_1_naming_the_file(tmp_path, capsys, command, name, content):
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 SEVEN_TEAM_CSV = """algorithm,dsc,confidence,ece,crps
@@ -264,6 +345,7 @@ def test_phantom_bad_spec_is_exit_1(tmp_path, capsys):
     })
     assert main(["phantom", str(write_spec(tmp_path, spec)), "--out", str(tmp_path / "d")]) == 1
     assert "overlap" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_phantom_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """Volume reading/writing: header subset, endianness, round trips."""
 
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -18,6 +19,8 @@ from voxeval.errors import (
 )
 from voxeval.grid import LabelVolume, ProbabilityVolume, validate_probability_sums
 from voxeval.nifti import (
+    DESK_DTYPES,
+    DTYPE_CODES,
     read_desk,
     read_nifti,
     read_volume,
@@ -240,6 +243,21 @@ def test_scl_slope_applied_when_nonzero(tmp_path):
     assert set(np.unique(read_nifti(q).voxels)) == {0, 1}
 
 
+@pytest.mark.parametrize("slope, inter", [(1.0, float("inf")), (float("inf"), 1.0), (-1.0, float("-inf"))])
+def test_infinite_scaled_labels_are_format_errors(tmp_path, slope, inter):
+    p = tmp_path / "bad.nii"
+    p.write_bytes(build_nifti((2, 2, 2), 2, bytes([1] * 8), scl_slope=slope, scl_inter=inter))
+    with pytest.raises(FormatError, match="bad.nii: 3D volume holds non-integer or non-finite values"):
+        read_volume(p)
+
+
+def test_infinite_pixdim_is_format_error(tmp_path):
+    p = tmp_path / "bad.nii"
+    p.write_bytes(build_nifti((2, 2, 2), 2, bytes(8), spacing=(1.0, float("inf"), 1.0)))
+    with pytest.raises(FormatError, match="non-finite pixdim"):
+        read_volume(p)
+
+
 def test_channel_sum_violation_names_worst_voxel(tmp_path):
     channels = np.full((4, 2, 2, 2), 0.25, dtype=np.float32)
     channels[0, 1, 0, 1] = 0.30  # sum 1.05 at voxel (1, 0, 1)
@@ -329,3 +347,144 @@ def test_read_volume_adds_path_context(tmp_path):
     p = tmp_path / "nope.nii"
     with pytest.raises(VolumeIOError, match="nope.nii"):
         read_volume(p)
+
+
+def _write_gzip_bomb(path, declared_payload: bytes, trailing_mib: int) -> None:
+    """A .nii.gz whose header declares ``declared_payload`` but whose stream runs on with zeros."""
+    with gzip.GzipFile(path, "wb", mtime=0) as gz:
+        gz.write(build_nifti((2, 2, 2), 2, declared_payload, vox_offset=352.0))
+        zeros = bytes(1 << 20)
+        for _ in range(trailing_mib):
+            gz.write(zeros)
+
+
+def test_gzip_inflation_is_bounded_by_the_declared_payload(tmp_path):
+    import tracemalloc
+
+    p = tmp_path / "bomb.nii.gz"
+    _write_gzip_bomb(p, bytes([0, 1, 2, 3, 0, 1, 2, 3]), trailing_mib=256)
+    assert p.stat().st_size < (1 << 20)
+    tracemalloc.start()
+    try:
+        v = read_volume(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.voxels.ravel(order="F").tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert peak < 16 << 20
+
+
+def test_gzip_crc_mismatch_and_truncation_are_format_errors(tmp_path):
+    p = tmp_path / "v.nii.gz"
+    write_nifti(label_volume(np.arange(24).reshape(2, 3, 4) % 4), p)
+    good = p.read_bytes()
+    read_volume(p)
+    flipped = bytearray(good)
+    flipped[-8] ^= 0xFF  # first byte of the CRC-32 trailer
+    p.write_bytes(bytes(flipped))
+    with pytest.raises(FormatError, match=r"v\.nii\.gz: corrupt gzip stream"):
+        read_volume(p)
+    for cut in (4, 9, len(good) // 2):
+        p.write_bytes(good[:-cut])
+        with pytest.raises(FormatError, match="corrupt gzip stream"):
+            read_volume(p)
+    p.write_bytes(good + good)  # a second member still reads, and its CRC is checked too
+    assert np.array_equal(read_volume(p).voxels, np.arange(24).reshape(2, 3, 4) % 4)
+
+
+def test_bytes_past_the_declared_payload_are_ignored(tmp_path):
+    p = tmp_path / "long.nii"
+    p.write_bytes(build_nifti((2, 2, 2), 2, bytes(8) + b"\xff" * 4096))
+    assert not read_volume(p).voxels.any()
+
+
+# Header fields the reader honors: (offset, struct format of one element, element count, values).
+_INT16 = st.integers(-(2**15), 2**15 - 1)
+_FLOAT32 = st.sampled_from([0.0, 1.0, -1.0, 3.0, 3e38, float("inf"), float("-inf"), float("nan")]) | st.floats(width=32)
+_HEADER_MUTATIONS = {
+    "sizeof_hdr": (0, "i", 1, st.sampled_from([348, 0, 349, 0x5C010000]) | st.integers(-(2**31), 2**31 - 1)),
+    "dim": (40, "h", 8, st.integers(-2, 6) | _INT16),
+    "datatype": (70, "h", 1, st.sampled_from(sorted(DTYPE_CODES)) | _INT16),
+    "bitpix": (72, "h", 1, st.sampled_from([8, 16, 32, 64]) | _INT16),
+    "pixdim": (76, "f", 8, _FLOAT32),
+    "vox_offset": (108, "f", 1, st.sampled_from([348.0, 352.0, 351.5, 1e9]) | _FLOAT32),
+    "scl_slope": (112, "f", 1, _FLOAT32),
+    "scl_inter": (116, "f", 1, _FLOAT32),
+    "magic": (344, "4s", 1, st.sampled_from([b"n+1\x00", b"ni1\x00"]) | st.binary(min_size=4, max_size=4)),
+}
+_FUZZ_LABELS = np.array([0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 2, 2], dtype=np.uint8)  # 2 x 3 x 2, x fastest
+_FUZZ_SOURCES = {
+    "label-uint8": build_nifti((2, 3, 2), 2, _FUZZ_LABELS.tobytes(), scl_slope=1.0),  # scl_inter alone rescales
+    "label-int16-be": build_nifti((2, 3, 2), 4, _FUZZ_LABELS.astype(">i2").tobytes(), endian=">"),
+    "probability": build_nifti(
+        (2, 3, 2), 16, np.eye(4, dtype="<f4")[_FUZZ_LABELS].T.tobytes(), dim4=4, vox_offset=352.0
+    ),
+}
+
+
+def _resized(data, blob: bytes) -> bytes:
+    """``blob`` truncated, extended with random bytes, or left as it is."""
+    change = data.draw(st.sampled_from(["keep", "truncate", "extend"]))
+    if change == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    if change == "extend":
+        return blob + data.draw(st.binary(min_size=1, max_size=64))
+    return blob
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), source=st.sampled_from(sorted(_FUZZ_SOURCES)), compress=st.booleans())
+def test_fuzzed_nifti_reads_or_raises_volume_io_error(tmp_path_factory, data, source, compress):
+    raw = bytearray(_FUZZ_SOURCES[source])
+    endian = "<" if source != "label-int16-be" else ">"
+    for name in data.draw(st.lists(st.sampled_from(sorted(_HEADER_MUTATIONS)), max_size=3)):
+        offset, fmt, count, values = _HEADER_MUTATIONS[name]
+        slot = data.draw(st.integers(0, count - 1))
+        struct.pack_into(endian + fmt, raw, offset + slot * struct.calcsize(fmt), data.draw(values))
+    blob = _resized(data, bytes(raw))
+    if compress:
+        blob = _resized(data, gzip.compress(blob, mtime=0))
+    path = tmp_path_factory.mktemp("fuzz") / ("v.nii.gz" if compress else "v.nii")
+    path.write_bytes(blob)
+    try:
+        read_volume(path, renormalize=data.draw(st.booleans()))
+    except VolumeIOError:
+        pass
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DESK_VALUES = {
+    "dims": st.lists(st.integers(-2, 5) | st.integers(), min_size=2, max_size=4),
+    "spacing_mm": st.lists(st.floats() | st.integers(-1, 3), min_size=2, max_size=4),
+    "dtype": st.sampled_from(sorted(DESK_DTYPES)) | st.text(max_size=8),
+    "channels": st.sampled_from([0, 4, 3, -1]) | st.integers() | st.floats(),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), probability=st.booleans())
+def test_fuzzed_desk_reads_or_raises_volume_io_error(tmp_path_factory, data, probability):
+    meta = {"dims": [2, 3, 2], "spacing_mm": [1.0, 1.0, 1.0], "dtype": "uint8", "channels": 0}
+    payload = _FUZZ_LABELS.tobytes()
+    if probability:
+        meta.update(dtype="float32", channels=4)
+        payload = np.eye(4, dtype="<f4")[_FUZZ_LABELS].T.tobytes()
+    for key in data.draw(st.lists(st.sampled_from(sorted(meta)), max_size=3)):
+        change = data.draw(st.sampled_from(["drop", "typed", "any"]))
+        if change == "drop":
+            meta.pop(key, None)
+        else:
+            meta[key] = data.draw(_DESK_VALUES[key] if change == "typed" else _JSON_VALUES)
+    if data.draw(st.booleans()):
+        meta = data.draw(_JSON_VALUES)  # not an object at all, most of the time
+    path = tmp_path_factory.mktemp("fuzz") / "v.json"
+    path.write_text(json.dumps(meta))
+    path.with_suffix(".raw").write_bytes(_resized(data, payload))
+    try:
+        read_volume(path)
+    except VolumeIOError:
+        pass
