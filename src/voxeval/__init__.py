@@ -8,7 +8,7 @@ known ground truth for desk-scale verification.
 
 __version__ = "0.1.0"
 
-from .consensus import ConsensusRegions, derive_regions, region_counts
+from .consensus import ConsensusRegions, derive_regions
 from .grid import (
     CLASS_NAMES,
     ORGAN_CLASSES,
@@ -48,7 +48,6 @@ __all__ = [
     "load_manifest",
     "ConsensusRegions",
     "derive_regions",
-    "region_counts",
     "CalibrationBins",
     "CaseMetrics",
     "ConfidenceScores",

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
+from .consensus import derive_regions
 from .errors import (
     MetricError,
     ParameterError,
@@ -109,10 +110,14 @@ def _evaluate_one_case(entry, config: RunConfig, eval_cfg: EvalConfig):
     """-> ("ok", [CaseMetrics]) or ("skip", case_id, message)."""
     try:
         raters = [_load_label(p) for p in entry.rater_annotations]
+        try:  # the regions depend on the raters only, so every algorithm of the case shares them
+            regions = derive_regions(raters, classes=eval_cfg.classes)
+        except MetricError as exc:
+            raise type(exc)(f"case {entry.case_id!r}: {exc}") from exc
         out = []
         for name in sorted(entry.algorithm_predictions):
             pred = _load_probability(entry.algorithm_predictions[name], config.renormalize)
-            out.append(evaluate_case(pred, raters, eval_cfg, case_id=entry.case_id, algorithm=name))
+            out.append(evaluate_case(pred, raters, eval_cfg, entry.case_id, name, regions))
             del pred  # free this prediction before the next one is decoded
         return ("ok", out)
     except VoxevalError as exc:

@@ -7,6 +7,7 @@ compared grid-to-grid.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +34,15 @@ class GridGeometry:
     spacing: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
+        try:  # operator.index accepts Python and numpy integers, not 2.7 or "3"
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            dims = ()
+        if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValidationError(f"dims must be 3 positive integers, got {self.dims!r}")
         if len(self.spacing) != 3 or any(not 0 < float(s) < math.inf for s in self.spacing):
             raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing!r}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
 
     @property
@@ -88,9 +93,6 @@ class LabelVolume:
             bad = int(v.min()) if v.min() < 0 else int(v.max())
             raise ValidationError(f"label volume contains invalid class id {bad}")
         v.flags.writeable = False  # volumes are immutable once built
-
-    def class_mask(self, class_id: int) -> np.ndarray:
-        return self.voxels == class_id
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ConsensusRegions, derive_regions
+from .consensus import ConsensusRegions, RegionView, derive_regions
 from .errors import ParameterError, VoxevalError
 from .grid import ORGAN_CLASSES, LabelVolume, ProbabilityVolume, require_same_grid
-from .masks import PackedMask
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
@@ -90,9 +89,8 @@ def dsc_consensus(
         predicted = np.argmax(pred.channels, axis=0) == class_id
     else:
         predicted = pred.channels[class_id] >= threshold
-    p = PackedMask.from_bool(predicted)
-    tp = p.count_and(r.fg)
-    fp = p.count_and(r.bg)
+    tp = int(np.count_nonzero(predicted & r.fg.to_bool()))
+    fp = int(np.count_nonzero(predicted & r.bg.to_bool()))
     fn = r.fg.count() - tp
     empty = r.fg.count() == 0
     if tp == 0 and fp == 0 and fn == 0:
@@ -114,21 +112,19 @@ class ConfidenceScores:
     mean: float | None
 
 
-def _mask_mean(channel: np.ndarray, mask: PackedMask, dims) -> float | None:
+def _mask_mean(channel: np.ndarray, mask: RegionView) -> float | None:
     n = mask.count()
     if n == 0:
         return None
-    sel = channel[mask.to_bool(dims)]
-    return compensated_sum(sel) / n
+    return compensated_sum(channel[mask.to_bool()]) / n
 
 
 def confidence_scores(pred: ProbabilityVolume, regions: ConsensusRegions) -> ConfidenceScores:
     require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
-    dims = regions.geometry.dims
     c_fg, c_bg, c_seg = {}, {}, {}
     for c, r in regions.per_class.items():
-        f = _mask_mean(pred.channels[c], r.fg, dims)
-        b = _mask_mean(pred.channels[c], r.bg, dims)
+        f = _mask_mean(pred.channels[c], r.fg)
+        b = _mask_mean(pred.channels[c], r.bg)
         c_fg[c], c_bg[c] = f, b
         c_seg[c] = None if (f is None or b is None) else ((1.0 - b) + f) / 2.0
     defined = [v for v in c_seg.values() if v is not None]
@@ -288,8 +284,13 @@ def rater_volume_distribution(
     geometry = raters[0].geometry
     for i, r in enumerate(raters[1:], start=1):
         require_same_grid(geometry, r.geometry, f"rater 0 vs rater {i}")
-    vv = geometry.voxel_volume_cm3
-    counts = np.array([int(np.count_nonzero(r.voxels == class_id)) for r in raters])
+    counts = [int(np.count_nonzero(r.voxels == class_id)) for r in raters]
+    return _volume_distribution(counts, geometry.voxel_volume_cm3, convention)
+
+
+def _volume_distribution(counts, vv: float, convention: str) -> tuple[float, float, tuple[float, ...]]:
+    """(mu, sigma, volumes) in cm^3 from per-rater voxel counts and the voxel volume."""
+    counts = np.array(counts)
     mu = float(np.mean(counts)) * vv
     if convention == "sample":
         sigma = float(np.std(counts, ddof=1)) * vv if len(counts) > 1 else 0.0
@@ -358,32 +359,39 @@ def evaluate_case(
     config: EvalConfig = EvalConfig(),
     case_id: str = "",
     algorithm: str = "",
+    regions: ConsensusRegions | None = None,
 ) -> CaseMetrics:
     """Compute all four metric families for one prediction.
 
+    ``regions`` are the raters' ``derive_regions(raters, config.classes)``;
+    a case with several algorithms derives them once and passes them in.
     Errors are re-raised with (case, algorithm) context attached.
     """
     try:
-        return _evaluate_case(pred, raters, config, case_id, algorithm)
+        return _evaluate_case(pred, raters, config, case_id, algorithm, regions)
     except VoxevalError as exc:
         raise type(exc)(f"case {case_id!r}, algorithm {algorithm!r}: {exc}") from exc
 
 
-def _evaluate_case(pred, raters, config, case_id, algorithm) -> CaseMetrics:
+def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMetrics:
     for i, r in enumerate(raters):
         require_same_grid(pred.geometry, r.geometry, f"prediction vs rater {i}")
-    regions = derive_regions(raters, classes=config.classes)
+    if regions is None:
+        regions = derive_regions(raters, classes=config.classes)
+    elif tuple(regions.per_class) != config.classes:
+        raise ParameterError(f"regions derived for classes {tuple(regions.per_class)}, config has {config.classes}")
     conf = confidence_scores(pred, regions)
 
     include = None
     if config.ece_exclude_dissensus:
-        include = regions.unanimous.to_bool(pred.geometry.dims)
+        include = regions.unanimous.to_bool()
 
+    vv = regions.geometry.voxel_volume_cm3
     dsc, crps, empty_fg, empty_bg, sigma_zero = {}, {}, {}, {}, {}
     for c in config.classes:
         dsc[c], empty_fg[c] = dsc_consensus(pred, regions, c, config.threshold, config.argmax_mode)
         empty_bg[c] = regions[c].bg.count() == 0
-        mu, sigma, _ = rater_volume_distribution(raters, c, config.sigma_convention)
+        mu, sigma, _ = _volume_distribution(regions.rater_counts[c], vv, config.sigma_convention)
         sigma_zero[c] = sigma == 0.0
         crps[c] = crps_gaussian(VolumeDistribution(mu, sigma, predicted_volume(pred, c)))
 

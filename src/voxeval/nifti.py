@@ -20,6 +20,7 @@ data the channel axis is slowest (one full 3D block per channel).
 import gzip
 import json
 import math
+import operator
 import struct
 import zlib
 from pathlib import Path
@@ -341,10 +342,13 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
                 raise FormatError(f"desk header missing key {key!r}")
         if meta["dtype"] not in DESK_DTYPES:
             raise UnsupportedDtypeError(f"desk dtype {meta['dtype']!r} not in {sorted(DESK_DTYPES)}")
-        channels = int(meta["channels"])
+        try:
+            channels = operator.index(meta["channels"])
+        except TypeError:
+            raise ValidationError(f"channels must be an integer, got {meta['channels']!r}") from None
         if channels not in (0, N_CHANNELS):
             raise ShapeError(f"desk channels must be 0 (labels) or {N_CHANNELS}, got {channels}")
-        geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))  # ValidationError if not positive
+        geometry = GridGeometry(tuple(meta["dims"]), tuple(meta["spacing_mm"]))  # ValidationError if not positive (integer dims)
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"invalid desk header: {exc}") from exc
     n_elem = max(channels, 1) * geometry.n_voxels

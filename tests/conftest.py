@@ -83,6 +83,14 @@ def regions_to_label_volume(regions: ConsensusRegions, class_id: int) -> LabelVo
     return LabelVolume(regions.geometry, out)
 
 
+def region_counts(regions: ConsensusRegions) -> dict[int, dict[str, int]]:
+    """Voxel counts per class; fg + bg + dissensus equals the grid size."""
+    return {
+        c: {"fg": r.fg.count(), "bg": r.bg.count(), "dissensus": r.dissensus.count()}
+        for c, r in regions.per_class.items()
+    }
+
+
 def rank_sum_identity(n_algorithms: int) -> float:
     """Every iteration's ranks for one metric sum to K(K+1)/2."""
     return n_algorithms * (n_algorithms + 1) / 2.0

@@ -134,15 +134,17 @@ def test_criterion_4_consensus_partition_property():
         for c in (1, 2, 3):
             r = regions[c]
             assert r.fg.count() + r.bg.count() + r.dissensus.count() == n
-            assert r.fg.intersects_none(r.bg)
-            assert r.fg.intersects_none(r.dissensus)
-            assert r.bg.intersects_none(r.dissensus)
+            assert not np.any(r.fg.to_bool() & r.bg.to_bool())
+            assert not np.any(r.fg.to_bool() & r.dissensus.to_bool())
+            assert not np.any(r.bg.to_bool() & r.dissensus.to_bool())
             fg, bg, dis = consensus_by_voxel_loop(arrays, c)
             assert np.array_equal(r.fg.to_bool(dims), fg)
             assert np.array_equal(r.bg.to_bool(dims), bg)
             assert np.array_equal(r.dissensus.to_bool(dims), dis)
-            assert permuted[c].fg == r.fg and permuted[c].bg == r.bg
-            assert permuted[c].dissensus == r.dissensus
+            assert np.array_equal(permuted[c].fg.to_bool(), r.fg.to_bool()) and np.array_equal(
+                permuted[c].bg.to_bool(), r.bg.to_bool()
+            )
+            assert np.array_equal(permuted[c].dissensus.to_bool(), r.dissensus.to_bool())
     print(f"ACCEPTANCE 4 PASS - 100 random 2-4 rater fixtures: exact tri-partition, "
           f"per-voxel oracle match, rater-permutation invariance "
           f"({time.perf_counter() - started:.2f} s)")

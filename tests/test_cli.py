@@ -220,6 +220,9 @@ HOSTILE_DOCUMENTS = {
     "rank-table-not-utf8": ("rank-table", "agg.csv", b"algorithm,dsc,confidence,ece,crps\n\xff,1,2,3,4\n"),
     "rank-table-nan-value": ("rank-table", "agg.csv", b"algorithm,dsc,confidence,ece,crps\nx,nan,1,2,3\ny,1,2,3,4\n"),
     "spec-geometry-list": ("phantom", "spec.json", dict(PHANTOM_SPEC, geometry=[1, 2])),
+    "spec-fractional-dims": (
+        "phantom", "spec.json", dict(PHANTOM_SPEC, geometry={"dims": [28, 27.5, 28], "spacing_mm": [1, 1, 1]}),
+    ),
     "spec-sphere-without-radius": (
         "phantom", "spec.json", dict(PHANTOM_SPEC, spheres=dict(_SPHERES, liver={"center": [14, 20, 20]})),
     ),
@@ -388,3 +391,42 @@ def test_renormalize_zero_sum_voxel_is_exit_2_naming_file_and_voxel(phantom_dir,
     err = capsys.readouterr().err
     assert victim.name in err
     assert "zero-sum voxel (4, 5, 6)" in err
+
+
+def test_rater_grid_mismatch_names_the_case_and_both_raters(phantom_dir, tmp_path, capsys):
+    import numpy as np
+
+    from voxeval.grid import GridGeometry, LabelVolume
+    from voxeval.nifti import write_nifti
+
+    victim = phantom_dir / "volumes" / "case_002_rater_2.nii.gz"  # rater index 1
+    write_nifti(LabelVolume(GridGeometry((28, 28, 27), (1, 1, 1)), np.zeros((28, 28, 27), np.uint8)), victim)
+    message = "case 'case_002': grid mismatch (rater 0 vs rater 1): dims (28, 28, 28) vs (28, 28, 27)"
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5"]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}, spacing ")
+    assert main(args + ["--out", str(tmp_path / "s"), "--skip-bad-cases"]) == 0
+    skipped = json.loads((tmp_path / "s" / "run_meta.json").read_text())["skipped_cases"]
+    assert [s["case_id"] for s in skipped] == ["case_002"]
+    assert skipped[0]["reason"].startswith(message)
+
+
+@pytest.mark.parametrize("parallel_cases", ["1", "2"])
+def test_regions_are_derived_once_per_case(tmp_path, monkeypatch, parallel_cases):
+    from voxeval import consensus, metrics
+
+    assert main(["phantom", str(write_spec(tmp_path, dict(PHANTOM_SPEC, cases=2))), "--out", str(tmp_path / "data")]) == 0
+    calls = []
+
+    def counting_derive_regions(*args, **kwargs):
+        calls.append(1)
+        return consensus.derive_regions(*args, **kwargs)
+
+    for module in (voxeval.cli, metrics):
+        monkeypatch.setattr(module, "derive_regions", counting_derive_regions, raising=False)
+    out = str(tmp_path / "r")
+    args = ["evaluate", str(tmp_path / "data" / "manifest.json"), "--out", out, "--iterations", "5"]
+    assert main(args + ["--parallel-cases", parallel_cases]) == 0
+    with open(tmp_path / "r" / "cases.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == 2 * 3  # 2 cases x 3 algorithms
+    assert len(calls) == 2

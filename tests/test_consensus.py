@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import consensus_by_voxel_loop, label_volume, regions_to_label_volume
-from voxeval.consensus import derive_regions, region_counts
+from conftest import consensus_by_voxel_loop, label_volume, region_counts, regions_to_label_volume
+from voxeval.consensus import derive_regions
 from voxeval.errors import GeometryMismatchError, ParameterError
 from voxeval.grid import GridGeometry, LabelVolume
 from voxeval.phantom import PhantomSpec, Sphere, generate
@@ -58,9 +58,9 @@ def test_partition_property(seed, n_raters):
     for c in (1, 2, 3):
         reg = regions[c]
         assert reg.fg.count() + reg.bg.count() + reg.dissensus.count() == n
-        assert reg.fg.intersects_none(reg.bg)
-        assert reg.fg.intersects_none(reg.dissensus)
-        assert reg.bg.intersects_none(reg.dissensus)
+        assert not np.any(reg.fg.to_bool() & reg.bg.to_bool())
+        assert not np.any(reg.fg.to_bool() & reg.dissensus.to_bool())
+        assert not np.any(reg.bg.to_bool() & reg.dissensus.to_bool())
 
 
 def test_adding_a_rater_shrinks_consensus(rng):
@@ -82,9 +82,9 @@ def test_rater_order_does_not_matter(rng):
     a = derive_regions(raters_from_arrays(arrays))
     b = derive_regions(raters_from_arrays(arrays[::-1]))
     for c in (1, 2, 3):
-        assert a[c].fg == b[c].fg
-        assert a[c].bg == b[c].bg
-        assert a[c].dissensus == b[c].dissensus
+        assert np.array_equal(a[c].fg.to_bool(), b[c].fg.to_bool())
+        assert np.array_equal(a[c].bg.to_bool(), b[c].bg.to_bool())
+        assert np.array_equal(a[c].dissensus.to_bool(), b[c].dissensus.to_bool())
 
 
 def test_region_counts_partition_and_empty_class(rng):
@@ -122,3 +122,27 @@ def test_mask_export_encoding(rng):
     assert np.array_equal(exported.voxels == 2, regions[1].fg.to_bool(dims))
     assert np.array_equal(exported.voxels == 1, regions[1].dissensus.to_bool(dims))
     assert np.array_equal(exported.voxels == 0, regions[1].bg.to_bool(dims))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_raters=st.integers(2, 6),
+    sizes=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    flat_axis=st.integers(0, 2),
+)
+def test_region_views_and_rater_counts_match_the_oracles(seed, n_raters, sizes, flat_axis):
+    dims = tuple(1 if axis == flat_axis else n for axis, n in enumerate(sizes))
+    r = np.random.default_rng(seed)
+    arrays = [r.integers(0, 4, size=dims).astype(np.uint8) for _ in range(n_raters)]
+    regions = derive_regions(raters_from_arrays(arrays))
+    unanimous = np.logical_and.reduce([a == arrays[0] for a in arrays])
+    assert np.array_equal(regions.unanimous.to_bool(dims), unanimous)
+    assert regions.unanimous.count() == np.count_nonzero(unanimous)
+    for c in (1, 2, 3):
+        assert regions.rater_counts[c] == tuple(np.count_nonzero(a == c) for a in arrays)
+        views = (regions[c].fg, regions[c].bg, regions[c].dissensus)
+        for view, oracle in zip(views, consensus_by_voxel_loop(arrays, c)):
+            assert np.array_equal(view.to_bool(dims), oracle)
+            assert np.array_equal(view.to_bool(), oracle)
+            assert view.count() == np.count_nonzero(oracle)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dsc_by_voxel_loop,
@@ -13,12 +15,14 @@ from conftest import (
     random_probability_volume,
 )
 from voxeval.consensus import derive_regions
-from voxeval.errors import GeometryMismatchError
+from voxeval.errors import GeometryMismatchError, ParameterError
 from voxeval.grid import GridGeometry, ProbabilityVolume
 from voxeval.metrics import (
     EvalConfig,
+    VolumeDistribution,
     compensated_sum,
     confidence_scores,
+    crps_gaussian,
     dsc_consensus,
     evaluate_case,
     predicted_volume,
@@ -298,3 +302,42 @@ def test_rater_order_does_not_change_any_metric(rng):
     assert forward.crps == reverse.crps
     for c in (1, 2, 3):
         assert math.isclose(forward.cece[c], reverse.cece[c], rel_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_raters=st.integers(2, 4),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    threshold=st.sampled_from([0.3, 0.5, 0.7]),
+    argmax_mode=st.booleans(),
+    ece_bins=st.integers(2, 12),
+    eq2_literal=st.booleans(),
+    ece_per_class=st.booleans(),
+    ece_exclude_dissensus=st.booleans(),
+    sigma_convention=st.sampled_from(["population", "sample"]),
+    classes=st.sampled_from([(1, 2, 3), (3, 1), (2,), (1, 3)]),
+)
+def test_shared_regions_give_the_same_metrics(seed, n_raters, dims, classes, **flags):
+    r = np.random.default_rng(seed)
+    arrays = [r.integers(0, 4, size=dims).astype(np.uint8) for _ in range(n_raters)]
+    arrays[1][: dims[0] // 2] = arrays[0][: dims[0] // 2]  # some unanimous voxels
+    raters = [label_volume(a) for a in arrays]
+    config = EvalConfig(classes=classes, **flags)
+    regions = derive_regions(raters, config.classes)
+    for algorithm in ("one", "two"):  # one regions record serves every algorithm of a case
+        pred = random_probability_volume(r, dims)
+        shared = evaluate_case(pred, raters, config, "c", algorithm, regions=regions)
+        assert shared == evaluate_case(pred, raters, config, "c", algorithm)
+        # plain floats: the reports write repr(value), and np.float64 reprs as "np.float64(...)"
+        assert {type(v) for v in (*shared.dsc.values(), *shared.crps.values(), shared.mean_dsc)} == {float}
+        for c in classes:  # the rater volumes read from the regions match a per-pair count
+            mu, sigma, _ = rater_volume_distribution(raters, c, config.sigma_convention)
+            assert shared.crps[c] == crps_gaussian(VolumeDistribution(mu, sigma, predicted_volume(pred, c)))
+
+
+def test_regions_for_other_classes_are_rejected(rng):
+    raters = two_rater_fixture()
+    pred = one_hot_volume(raters[0])
+    with pytest.raises(ParameterError, match="case 'c', algorithm 'a': regions derived for classes"):
+        evaluate_case(pred, raters, EvalConfig(classes=(1,)), "c", "a", regions=derive_regions(raters))

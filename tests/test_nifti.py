@@ -332,14 +332,22 @@ def test_desk_truncated_payload_is_format_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "geometry",
-    ['"dims": [0, 4, 4], "spacing_mm": [1, 1, 1]', '"dims": [4, 4, 4], "spacing_mm": [0, 1, 1]'],
-    ids=["zero-dim", "zero-spacing"],
+    "geometry, match",
+    [
+        ('"dims": [0, 4, 4], "spacing_mm": [1, 1, 1], "channels": 0', "(dims|spacing) must be 3 positive"),
+        ('"dims": [4, 4, 4], "spacing_mm": [0, 1, 1], "channels": 0', "(dims|spacing) must be 3 positive"),
+        ('"dims": [2.7, 3, 2], "spacing_mm": [1, 1, 1], "channels": 0', r"dims must be 3 positive integers, got \(2.7, 3, 2\)"),
+        ('"dims": [4.0, 4, 4], "spacing_mm": [1, 1, 1], "channels": 0', "dims must be 3 positive integers"),
+        ('"dims": [2, "3", 2], "spacing_mm": [1, 1, 1], "channels": 0', "dims must be 3 positive integers"),
+        ('"dims": [2, 3, 2], "spacing_mm": [1, 1, 1], "channels": 0.9', "channels must be an integer, got 0.9"),
+        ('"dims": [2, 3, 2], "spacing_mm": [1, 1, 1], "channels": 4.0', "channels must be an integer, got 4.0"),
+    ],
+    ids=["zero-dim", "zero-spacing", "fractional-dim", "float-dim", "string-dim", "fractional-channels", "float-channels"],
 )
-def test_desk_bad_geometry_is_format_error_naming_file(tmp_path, geometry):
-    (tmp_path / "x.json").write_text('{' + geometry + ', "dtype": "uint8", "channels": 0}')
+def test_desk_bad_geometry_is_format_error_naming_file(tmp_path, geometry, match):
+    (tmp_path / "x.json").write_text('{' + geometry + ', "dtype": "uint8"}')
     (tmp_path / "x.raw").write_bytes(b"\x00" * 64)
-    with pytest.raises(FormatError, match="x.json: invalid desk header: (dims|spacing) must be 3 positive"):
+    with pytest.raises(FormatError, match="x.json: invalid desk header: " + match):
         read_volume(tmp_path / "x.json")
 
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from voxeval.consensus import derive_regions, region_counts
+from conftest import region_counts
+from voxeval.consensus import derive_regions
 from voxeval.errors import ValidationError
 from voxeval.grid import GridGeometry, validate_probability_sums
 from voxeval.manifest import load_manifest
