@@ -11,7 +11,8 @@ Subcommands:
 * ``validate``   - manifest and volume checks only.
 
 Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
-3 metric computation error. Input files are never modified.
+3 metric computation error, 4 out of memory while a case was read or
+evaluated. Input files are never modified.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .consensus import derive_regions
 from .errors import (
     MetricError,
     ParameterError,
+    ResourceError,
     ShapeError,
     ValidationError,
     VolumeIOError,
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_METRIC = 3
+EXIT_RESOURCE = 4
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -109,21 +112,34 @@ def _load_probability(path, renormalize: bool) -> ProbabilityVolume:
 def _evaluate_one_case(entry, config: RunConfig, eval_cfg: EvalConfig):
     """-> ("ok", [CaseMetrics]) or ("skip", case_id, message)."""
     try:
-        raters = [_load_label(p) for p in entry.rater_annotations]
-        try:  # the regions depend on the raters only, so every algorithm of the case shares them
-            regions = derive_regions(raters, classes=eval_cfg.classes)
-        except MetricError as exc:
-            raise type(exc)(f"case {entry.case_id!r}: {exc}") from exc
-        out = []
-        for name in sorted(entry.algorithm_predictions):
-            pred = _load_probability(entry.algorithm_predictions[name], config.renormalize)
-            out.append(evaluate_case(pred, raters, eval_cfg, entry.case_id, name, regions))
-            del pred  # free this prediction before the next one is decoded
-        return ("ok", out)
+        return ("ok", _case_metrics(entry, config, eval_cfg))
     except VoxevalError as exc:
         if config.skip_bad_cases:
             return ("skip", entry.case_id, str(exc))
         raise
+
+
+def _case_metrics(entry, config: RunConfig, eval_cfg: EvalConfig) -> list[CaseMetrics]:
+    """Every algorithm's metrics for one case; running out of memory is a ResourceError."""
+    where, path = f"case {entry.case_id!r}", None
+    try:
+        raters = []
+        for path in entry.rater_annotations:
+            raters.append(_load_label(path))
+        path = ", ".join(str(p) for p in entry.rater_annotations)
+        try:  # the regions depend on the raters only, so every algorithm of the case shares them
+            regions = derive_regions(raters, classes=eval_cfg.classes)
+        except MetricError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        out = []
+        for name in sorted(entry.algorithm_predictions):
+            where, path = f"case {entry.case_id!r}, algorithm {name!r}", entry.algorithm_predictions[name]
+            pred = _load_probability(path, config.renormalize)
+            out.append(evaluate_case(pred, raters, eval_cfg, entry.case_id, name, regions))
+            del pred  # free this prediction before the next one is decoded
+        return out
+    except MemoryError as exc:
+        raise ResourceError(f"{where}: out of memory reading or evaluating {path}") from exc
 
 
 def run_evaluate(config: RunConfig) -> int:
@@ -331,6 +347,9 @@ def main(argv=None) -> int:
     except MetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_METRIC
+    except ResourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

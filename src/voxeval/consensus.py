@@ -38,8 +38,12 @@ class RegionView:
     value: int
     n_voxels: int
 
+    def selects(self, code: np.ndarray) -> np.ndarray:
+        """Which of these region codes (any slice of ``code``) lie in the view."""
+        return (code & self.mask) == self.value
+
     def to_bool(self, shape=None) -> np.ndarray:
-        selected = (self.code & self.mask) == self.value
+        selected = self.selects(self.code)
         return selected if shape is None else selected.reshape(shape)
 
     def count(self) -> int:
@@ -64,6 +68,11 @@ class ConsensusRegions:
 
     def __getitem__(self, class_id: int) -> ClassRegions:
         return self.per_class[class_id]
+
+    @property
+    def code(self) -> np.ndarray:
+        """The grid-shaped uint8 region code every view reads."""
+        return self.unanimous.code
 
 
 def derive_regions(raters: list[LabelVolume], classes=ORGAN_CLASSES) -> ConsensusRegions:

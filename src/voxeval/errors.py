@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 1, volume I/O
-failures -> 2, metric computation failures -> 3.
+failures -> 2, metric computation failures -> 3, ResourceError -> 4.
 """
 
 
@@ -43,3 +43,7 @@ class GeometryMismatchError(MetricError):
 
 class ParameterError(MetricError):
     """A metric parameter is out of its valid range."""
+
+
+class ResourceError(VoxevalError):
+    """Reading or evaluating a case ran out of memory."""

@@ -4,6 +4,14 @@ All volumes live on a plain axis-aligned voxel grid. Arrays are indexed
 ``[x, y, z]`` and probability maps are channel-first ``[c, x, y, z]``.
 Affine/orientation metadata is deliberately not modelled; volumes are
 compared grid-to-grid.
+
+Full-grid sweeps walk the flat logical ``[x, y, z]`` C-order in chunks of
+CHUNK_VOXELS voxels (:func:`chunk_bounds`), so their working memory does
+not grow with the grid. Channel-sum validation is one such sweep: each
+chunk checks its float64 channel sums, their finiteness, the channel
+minimum and maximum and the worst |sum - 1|, and ``renormalize`` divides
+chunk by chunk into one preallocated output. Only when a chunk fails is
+the whole array examined, to name the offending channel and voxel.
 """
 
 import math
@@ -24,6 +32,16 @@ CHANNEL_SUM_TOLERANCE = 1e-3
 
 #: Spacing agreement tolerance (mm) when grids are compared.
 SPACING_TOLERANCE_MM = 1e-3
+
+#: Voxels per chunk of a full-grid sweep. A module constant, not an option:
+#: results do not depend on it, only time and working memory do.
+CHUNK_VOXELS = 1 << 16
+
+
+def chunk_bounds(n_voxels: int):
+    """(start, stop) of each CHUNK_VOXELS-voxel chunk of a flat grid, in order."""
+    step = CHUNK_VOXELS
+    return ((start, min(start + step, n_voxels)) for start in range(0, n_voxels, step))
 
 
 @dataclass(frozen=True)
@@ -124,7 +142,33 @@ def validate_probability_sums(channels: np.ndarray, renormalize: bool = False) -
     Returns the (possibly renormalized) channel array. Raises
     ChannelSumError naming the worst offending voxel; renormalization is
     opt-in and rejects non-finite values and the first zero-sum voxel.
+    The check runs chunk by chunk; a failing chunk hands the whole array
+    to :func:`_diagnose_probability_sums`, which names the voxel.
     """
+    flat = channels.reshape(channels.shape[0], -1)
+    out = np.empty_like(flat) if renormalize else None
+    for start, stop in chunk_bounds(flat.shape[1]):
+        chunk = flat[:, start:stop]
+        sums = chunk.sum(axis=0, dtype=np.float64)
+        lo, hi = sums.min(), sums.max()
+        # A non-finite channel value makes its voxel's float64 sum, so lo or hi, non-finite.
+        failed = not (math.isfinite(lo) and math.isfinite(hi)) or chunk.min() < 0.0
+        if renormalize:
+            failed = failed or lo <= 0
+            if not failed:
+                np.divide(chunk, sums.astype(chunk.dtype), out=out[:, start:stop])
+        else:  # |sum - 1| is largest at the smallest or the largest sum
+            failed = failed or chunk.max() > 1.0 or max(hi - 1.0, 1.0 - lo) > CHANNEL_SUM_TOLERANCE
+        if failed:
+            return _diagnose_probability_sums(channels, renormalize)
+    return channels if out is None else out.reshape(channels.shape)
+
+
+def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> np.ndarray:
+    """The whole-array check behind a failed chunk: raises ChannelSumError for
+    the first fault in priority order (non-finite, negative, zero sum or value
+    above 1, worst |sum - 1|), naming its channel and voxel. Finite float64
+    channels whose sum overflows are judged by these checks alone."""
     from .errors import ChannelSumError
 
     def where(flat_index, shape):

@@ -14,6 +14,17 @@ the three organs:
   against those bins, and the per-rater errors are averaged;
 * volumetric CRPS of the probability-summed predicted volume against a
   Gaussian fitted to the rater volumes.
+
+Every family is a small function of additive statistics gathered in one
+pass over the prediction (``_one_pass``). The pass walks the flat logical
+``[x, y, z]`` C-order in ``grid.CHUNK_VOXELS`` chunks and reads each
+chunk's four channels, region codes and rater labels once: a compare
+chain gives argmax and max together, Dice TP/FP and the calibration bin
+counts and correct-counts are integers, calibration confidence sums are
+added voxel by voxel in grid order, and the c_fg/c_bg and volume sums
+carry their open SUM_BLOCK-value block across chunks. So the results are
+bit-identical whatever the chunk size, and the working memory is bounded
+by the chunk and block sizes, not by the grid.
 """
 
 import math
@@ -23,11 +34,14 @@ import numpy as np
 
 from .consensus import ConsensusRegions, RegionView, derive_regions
 from .errors import ParameterError, VoxevalError
-from .grid import ORGAN_CLASSES, LabelVolume, ProbabilityVolume, require_same_grid
+from .grid import N_CHANNELS, ORGAN_CLASSES, LabelVolume, ProbabilityVolume, chunk_bounds, require_same_grid
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: Values per pairwise-summed block of compensated_sum.
+SUM_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,81 +68,55 @@ class EvalConfig:
             raise ParameterError(f"classes must be a non-empty subset of {ORGAN_CLASSES}")
 
 
-def compensated_sum(values: np.ndarray) -> float:
-    """Sum with error-free combination of pairwise-summed chunks.
+class CompensatedSum:
+    """compensated_sum fed in pieces of any size.
 
-    Large float32 maps are summed chunk-wise in float64 (numpy's pairwise
-    reduction) and the chunk totals combined exactly with math.fsum, so
+    Pieces are held until SUM_BLOCK values have arrived; the block is then
+    summed in float64 by np.sum (pairwise), so each block total, and the
+    result, is the one compensated_sum gives for the pieces' concatenation.
+    Block totals are combined exactly with math.fsum. ``size``, the number
+    of values that will be added if known, lets the last block be summed,
+    and its pieces freed, as soon as it is complete.
+    """
+
+    def __init__(self, size: int | None = None):
+        self._totals: list[float] = []
+        self._open: list[np.ndarray] = []  # pieces of the open block
+        self._n_open = 0
+        self._n_left = size
+
+    def add(self, values: np.ndarray) -> None:
+        """Append a flat array. Pieces are kept, not copied, until their block
+        closes: a view must not change before then."""
+        while values.size:
+            piece = values[: SUM_BLOCK - self._n_open]
+            self._open.append(piece)
+            self._n_open += piece.size
+            values = values[piece.size :]
+            if self._n_left is not None:
+                self._n_left -= piece.size
+            if self._n_open == SUM_BLOCK or self._n_left == 0:
+                self._totals.append(self._open_sum())
+                self._open, self._n_open = [], 0
+
+    def _open_sum(self) -> float:
+        block = self._open[0] if len(self._open) == 1 else np.concatenate(self._open)
+        return float(np.sum(block, dtype=np.float64))
+
+    def total(self) -> float:
+        return math.fsum(self._totals + ([self._open_sum()] if self._n_open else []))
+
+
+def compensated_sum(values: np.ndarray) -> float:
+    """Sum with error-free combination of pairwise-summed blocks.
+
+    Large float32 maps are summed block-wise in float64 (numpy's pairwise
+    reduction) and the block totals combined exactly with math.fsum, so
     1e8-voxel volumes do not drift.
     """
-    flat = np.asarray(values).reshape(-1)
-    step = 1 << 20
-    return math.fsum(
-        float(np.sum(flat[i : i + step], dtype=np.float64)) for i in range(0, flat.size, step)
-    )
-
-
-def dsc_consensus(
-    pred: ProbabilityVolume,
-    regions: ConsensusRegions,
-    class_id: int,
-    threshold: float = 0.5,
-    argmax_mode: bool = False,
-) -> tuple[float, bool]:
-    """Consensus-restricted Dice for one class.
-
-    Returns (dsc, empty_consensus_fg). TP/FN are counted inside the
-    foreground consensus, FP inside the background consensus; the
-    degenerate all-empty case (no consensus foreground, nothing
-    predicted in the consensus background) scores 1.0 with the flag set
-    instead of NaN.
-    """
-    require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
-    r = regions[class_id]
-    if argmax_mode:  # ties go to the lowest class id, as in np.argmax
-        predicted = np.argmax(pred.channels, axis=0) == class_id
-    else:
-        predicted = pred.channels[class_id] >= threshold
-    tp = int(np.count_nonzero(predicted & r.fg.to_bool()))
-    fp = int(np.count_nonzero(predicted & r.bg.to_bool()))
-    fn = r.fg.count() - tp
-    empty = r.fg.count() == 0
-    if tp == 0 and fp == 0 and fn == 0:
-        return 1.0, empty
-    return 2.0 * tp / (2.0 * tp + fp + fn), empty
-
-
-@dataclass(frozen=True)
-class ConfidenceScores:
-    """Eq-style consensus confidence per class.
-
-    Classes whose foreground or background consensus is empty get None
-    and are skipped from the mean.
-    """
-
-    c_fg: dict[int, float | None]
-    c_bg: dict[int, float | None]
-    c_seg: dict[int, float | None]
-    mean: float | None
-
-
-def _mask_mean(channel: np.ndarray, mask: RegionView) -> float | None:
-    n = mask.count()
-    if n == 0:
-        return None
-    return compensated_sum(channel[mask.to_bool()]) / n
-
-
-def confidence_scores(pred: ProbabilityVolume, regions: ConsensusRegions) -> ConfidenceScores:
-    require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
-    c_fg, c_bg, c_seg = {}, {}, {}
-    for c, r in regions.per_class.items():
-        f = _mask_mean(pred.channels[c], r.fg)
-        b = _mask_mean(pred.channels[c], r.bg)
-        c_fg[c], c_bg[c] = f, b
-        c_seg[c] = None if (f is None or b is None) else ((1.0 - b) + f) / 2.0
-    defined = [v for v in c_seg.values() if v is not None]
-    return ConfidenceScores(c_fg, c_bg, c_seg, sum(defined) / len(defined) if defined else None)
+    acc = CompensatedSum()
+    acc.add(np.asarray(values).reshape(-1))
+    return acc.total()
 
 
 @dataclass(frozen=True)
@@ -167,54 +155,228 @@ class CalibrationBins:
         return out
 
 
-def _calibrate(pred, raters, class_id, bins, literal, include) -> list[CalibrationBins]:
-    """Bin the prediction's confidences once; return one CalibrationBins per rater.
+@dataclass
+class _Binning:
+    """Calibration statistics of one confidence definition, added chunk by chunk.
 
-    ``class_id=None`` is multiclass: confidence = max softmax probability,
-    predicted = argmax class (ties to the lowest class id). A class id is
-    one-vs-rest: confidence = max(p, 1 - p) of its channel, predicted =
-    p >= 0.5. A voxel is correct when predicted matches the rater.
-    ``include`` optionally restricts the voxels (e.g. to unanimous ones).
     Bin rule shared with the brute-force oracles: floor(conf * M) in
     float64, last bin right-closed. Only the correct-counts per bin
-    depend on the rater.
+    (``hits``, one array per rater) depend on the rater.
     """
+
+    counts: np.ndarray
+    conf_sums: np.ndarray  # float64, added voxel by voxel in grid order
+    hits: list[np.ndarray]
+    n: int = 0
+
+    @classmethod
+    def empty(cls, bins: int, n_raters: int) -> "_Binning":
+        return cls(np.zeros(bins, np.intp), np.zeros(bins), [np.zeros(bins, np.intp) for _ in range(n_raters)])
+
+    def add(self, conf, predicted, truths, include) -> None:
+        """One chunk: float64 confidences, predictions, each rater's truth, optional mask."""
+        if include is not None:
+            conf, predicted = conf[include], predicted[include]
+            truths = [t[include] for t in truths]
+        bins = self.counts.size
+        idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
+        counts = np.bincount(idx, minlength=bins)
+        self.counts += counts
+        np.add.at(self.conf_sums, idx, conf)  # same order and result as bincount(idx, weights=conf)
+        for hits, truth in zip(self.hits, truths):  # gathering the (usually few) wrong voxels is cheap
+            hits += counts - np.bincount(idx[predicted != truth], minlength=bins)
+        self.n += conf.size
+
+    def results(self, literal: bool) -> list[CalibrationBins]:
+        """One CalibrationBins per rater."""
+        bins = self.counts.size
+        occupied = self.counts > 0
+        conf_mean = np.zeros(bins)
+        conf_mean[occupied] = self.conf_sums[occupied] / self.counts[occupied]
+        denom = bins if literal else self.n
+        out = []
+        for hits in self.hits:
+            acc_mean = np.zeros(bins)
+            acc_mean[occupied] = hits[occupied] / self.counts[occupied]
+            value = float(np.sum(self.counts[occupied] / denom * np.abs(acc_mean[occupied] - conf_mean[occupied])))
+            out.append(CalibrationBins(bins, self.counts, conf_mean, acc_mean, self.n, value, literal))
+        return out
+
+
+@dataclass
+class _PassStatistics:
+    """What one pass gathered, keyed by class id (or calibration target)."""
+
+    tp: dict[int, int]
+    fp: dict[int, int]
+    fg_sum: dict[int, CompensatedSum]
+    bg_sum: dict[int, CompensatedSum]
+    volume: dict[int, CompensatedSum]
+    binning: dict[int | None, _Binning]
+
+
+def _argmax_max(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax, max) over axis 0 in one compare chain; the strict > keeps
+    ties on the lowest class id, as np.argmax does."""
+    best = channels[0].copy()
+    arg = np.zeros(best.shape, dtype=np.uint8)
+    for k in range(1, len(channels)):
+        arg[channels[k] > best] = k
+        np.maximum(best, channels[k], out=best)
+    return arg, best
+
+
+def _one_pass(
+    pred: ProbabilityVolume,
+    regions: ConsensusRegions | None = None,
+    raters: list[LabelVolume] = (),
+    *,
+    dice=(),
+    threshold: float = 0.5,
+    argmax_mode: bool = False,
+    confidence=(),
+    volume=(),
+    calibrate=(),
+    bins: int = 10,
+    include: np.ndarray | RegionView | None = None,
+) -> _PassStatistics:
+    """Walk the prediction once, chunk by chunk, gathering the requested statistics.
+
+    * ``dice`` class ids: TP/FP of the prediction (``channel >= threshold``,
+      or argmax class) in the foreground / background consensus;
+    * ``confidence`` class ids: the class probability summed over each
+      consensus region;
+    * ``volume`` class ids: the class probability summed over the grid;
+    * ``calibrate`` targets, binned against every rater: ``None`` is
+      multiclass (confidence = max softmax probability, predicted = argmax
+      class), a class id is one-vs-rest (confidence = max(p, 1 - p),
+      predicted = p >= 0.5). A voxel is correct when predicted matches the
+      rater. ``include`` (a grid-shaped boolean mask or a region view)
+      restricts the calibrated voxels.
+    """
+    channels = pred.channels.reshape(N_CHANNELS, -1)
+    code = None if regions is None else regions.code.reshape(-1)
+    labels = [r.voxels.reshape(-1) for r in raters]
+    if include is not None and not isinstance(include, RegionView):
+        include = np.asarray(include, dtype=bool).reshape(-1)
+        if include.size != channels.shape[1]:
+            raise ParameterError(f"include mask has {include.size} voxels, the grid {channels.shape[1]}")
+    stats = _PassStatistics(
+        tp=dict.fromkeys(dice, 0),
+        fp=dict.fromkeys(dice, 0),
+        fg_sum={c: CompensatedSum(regions[c].fg.count()) for c in confidence},
+        bg_sum={c: CompensatedSum(regions[c].bg.count()) for c in confidence},
+        volume={c: CompensatedSum() for c in volume},
+        binning={t: _Binning.empty(bins, len(raters)) for t in calibrate},
+    )
+    region_classes = {c: regions[c] for c in (*dice, *confidence)}
+    need_argmax = None in stats.binning or (argmax_mode and bool(dice))
+    n_voxels, volume_fed = channels.shape[1], 0
+    for start, stop in chunk_bounds(n_voxels):
+        ch = channels[:, start:stop]
+        codes = None if code is None else code[start:stop]
+        if need_argmax:
+            arg, best = _argmax_max(ch)
+        for c, r in region_classes.items():
+            fg, bg = r.fg.selects(codes), r.bg.selects(codes)
+            if c in stats.tp:
+                predicted = arg == c if argmax_mode else ch[c] >= threshold
+                stats.tp[c] += int(np.count_nonzero(predicted & fg))
+                stats.fp[c] += int(np.count_nonzero(predicted & bg))
+            if c in stats.fg_sum:
+                stats.fg_sum[c].add(ch[c][fg])
+                stats.bg_sum[c].add(ch[c][bg])
+        if stop - volume_fed >= SUM_BLOCK or stop == n_voxels:  # whole-block views: no copy at close
+            for c, acc in stats.volume.items():
+                acc.add(channels[c, volume_fed:stop])
+            volume_fed = stop
+        if include is None:
+            sel = None
+        elif isinstance(include, RegionView):
+            sel = include.selects(codes)
+        else:
+            sel = include[start:stop]
+        truths = [lab[start:stop] for lab in labels]
+        for target, binning in stats.binning.items():
+            if target is None:
+                binning.add(best.astype(np.float64), arg, truths, sel)
+            else:
+                p = ch[target].astype(np.float64)
+                binning.add(np.maximum(p, 1.0 - p), p >= 0.5, [t == target for t in truths], sel)
+    return stats
+
+
+def _dice(tp: int, fp: int, n_fg: int) -> tuple[float, bool]:
+    """(dsc, empty_consensus_fg) from the TP/FP counts and the foreground consensus size."""
+    fn = n_fg - tp
+    if tp == 0 and fp == 0 and fn == 0:
+        return 1.0, n_fg == 0
+    return 2.0 * tp / (2.0 * tp + fp + fn), n_fg == 0
+
+
+def dsc_consensus(
+    pred: ProbabilityVolume,
+    regions: ConsensusRegions,
+    class_id: int,
+    threshold: float = 0.5,
+    argmax_mode: bool = False,
+) -> tuple[float, bool]:
+    """Consensus-restricted Dice for one class.
+
+    Returns (dsc, empty_consensus_fg). TP/FN are counted inside the
+    foreground consensus, FP inside the background consensus; the
+    degenerate all-empty case (no consensus foreground, nothing
+    predicted in the consensus background) scores 1.0 with the flag set
+    instead of NaN. ``argmax_mode`` gives ties to the lowest class id.
+    """
+    require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
+    stats = _one_pass(pred, regions, dice=(class_id,), threshold=threshold, argmax_mode=argmax_mode)
+    return _dice(stats.tp[class_id], stats.fp[class_id], regions[class_id].fg.count())
+
+
+@dataclass(frozen=True)
+class ConfidenceScores:
+    """Eq-style consensus confidence per class.
+
+    Classes whose foreground or background consensus is empty get None
+    and are skipped from the mean.
+    """
+
+    c_fg: dict[int, float | None]
+    c_bg: dict[int, float | None]
+    c_seg: dict[int, float | None]
+    mean: float | None
+
+
+def _mean(acc: CompensatedSum, n: int) -> float | None:
+    return None if n == 0 else acc.total() / n
+
+
+def _confidence(stats: _PassStatistics, regions: ConsensusRegions) -> ConfidenceScores:
+    c_fg, c_bg, c_seg = {}, {}, {}
+    for c, r in regions.per_class.items():
+        f = _mean(stats.fg_sum[c], r.fg.count())
+        b = _mean(stats.bg_sum[c], r.bg.count())
+        c_fg[c], c_bg[c] = f, b
+        c_seg[c] = None if (f is None or b is None) else ((1.0 - b) + f) / 2.0
+    defined = [v for v in c_seg.values() if v is not None]
+    return ConfidenceScores(c_fg, c_bg, c_seg, sum(defined) / len(defined) if defined else None)
+
+
+def confidence_scores(pred: ProbabilityVolume, regions: ConsensusRegions) -> ConfidenceScores:
+    require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
+    return _confidence(_one_pass(pred, regions, confidence=tuple(regions.per_class)), regions)
+
+
+def _calibrate(pred, raters, class_id, bins, literal, include) -> list[CalibrationBins]:
+    """One CalibrationBins per rater for one target (``None`` multiclass, or
+    a class id one-vs-rest; see _one_pass), from a single binning."""
     if bins < 2:
         raise ParameterError(f"bin count must be >= 2, got {bins}")
     for r in raters:
         require_same_grid(pred.geometry, r.geometry, "prediction vs rater")
-    if class_id is None:
-        conf = pred.channels.max(axis=0)
-        predicted = np.argmax(pred.channels, axis=0)
-        correct = (predicted == r.voxels for r in raters)
-    else:
-        p = pred.channels[class_id].astype(np.float64, copy=False)
-        predicted = p >= 0.5
-        conf = np.maximum(p, 1.0 - p)
-        del p
-        correct = (predicted == (r.voxels == class_id) for r in raters)
-    if include is not None:
-        conf = conf[include]
-        correct = (c[include] for c in correct)
-    conf = conf.astype(np.float64, copy=False).reshape(-1)
-    idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    conf_sums = np.bincount(idx, weights=conf, minlength=bins)
-    n = conf.size
-    del conf
-    occupied = counts > 0
-    conf_mean = np.zeros(bins)
-    conf_mean[occupied] = conf_sums[occupied] / counts[occupied]
-    denom = bins if literal else n
-
-    out = []
-    for c in correct:
-        acc_sums = np.bincount(idx, weights=c.reshape(-1), minlength=bins)
-        acc_mean = np.zeros(bins)
-        acc_mean[occupied] = acc_sums[occupied] / counts[occupied]
-        value = float(np.sum(counts[occupied] / denom * np.abs(acc_mean[occupied] - conf_mean[occupied])))
-        out.append(CalibrationBins(bins, counts, conf_mean, acc_mean, n, value, literal))
-    return out
+    stats = _one_pass(pred, raters=raters, calibrate=(class_id,), bins=bins, include=include)
+    return stats.binning[class_id].results(literal)
 
 
 def cece(
@@ -225,7 +387,7 @@ def cece(
     include: np.ndarray | None = None,
 ) -> CalibrationBins:
     """Multiclass calibration error against one rater: max-softmax
-    confidence, argmax prediction (see _calibrate)."""
+    confidence, argmax prediction (see _one_pass)."""
     return _calibrate(pred, [rater], None, bins, eq2_literal, include)[0]
 
 
@@ -238,7 +400,7 @@ def cece_binary(
     include: np.ndarray | None = None,
 ) -> CalibrationBins:
     """One-vs-rest calibration error for a single class: confidence
-    max(p, 1 - p), prediction p >= 0.5 (see _calibrate)."""
+    max(p, 1 - p), prediction p >= 0.5 (see _one_pass)."""
     return _calibrate(pred, [rater], class_id, bins, eq2_literal, include)[0]
 
 
@@ -380,29 +542,39 @@ def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMet
         regions = derive_regions(raters, classes=config.classes)
     elif tuple(regions.per_class) != config.classes:
         raise ParameterError(f"regions derived for classes {tuple(regions.per_class)}, config has {config.classes}")
-    conf = confidence_scores(pred, regions)
-
-    include = None
-    if config.ece_exclude_dissensus:
-        include = regions.unanimous.to_bool()
+    require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
+    targets = config.classes if config.ece_per_class else (None,)
+    stats = _one_pass(
+        pred,
+        regions,
+        raters,
+        dice=config.classes,
+        threshold=config.threshold,
+        argmax_mode=config.argmax_mode,
+        confidence=config.classes,
+        volume=config.classes,
+        calibrate=targets,
+        bins=config.ece_bins,
+        include=regions.unanimous if config.ece_exclude_dissensus else None,
+    )
+    conf = _confidence(stats, regions)
 
     vv = regions.geometry.voxel_volume_cm3
     dsc, crps, empty_fg, empty_bg, sigma_zero = {}, {}, {}, {}, {}
     for c in config.classes:
-        dsc[c], empty_fg[c] = dsc_consensus(pred, regions, c, config.threshold, config.argmax_mode)
+        dsc[c], empty_fg[c] = _dice(stats.tp[c], stats.fp[c], regions[c].fg.count())
         empty_bg[c] = regions[c].bg.count() == 0
         mu, sigma, _ = _volume_distribution(regions.rater_counts[c], vv, config.sigma_convention)
         sigma_zero[c] = sigma == 0.0
-        crps[c] = crps_gaussian(VolumeDistribution(mu, sigma, predicted_volume(pred, c)))
+        predicted = pred.geometry.voxel_volume_cm3 * stats.volume[c].total()
+        crps[c] = crps_gaussian(VolumeDistribution(mu, sigma, predicted))
 
+    values = {t: [b.value for b in stats.binning[t].results(config.eq2_literal)] for t in targets}
     if config.ece_per_class:
-        cece_by_class = {}
-        for c in config.classes:
-            per_rater = _calibrate(pred, raters, c, config.ece_bins, config.eq2_literal, include)
-            cece_by_class[c] = float(np.mean([b.value for b in per_rater]))
+        cece_by_class = {c: float(np.mean(values[c])) for c in config.classes}
         mean_cece = sum(cece_by_class.values()) / len(cece_by_class)
     else:
-        grid_value = cece_multirater(pred, raters, config.ece_bins, config.eq2_literal, include)
+        grid_value = sum(values[None]) / len(values[None])
         cece_by_class = {c: grid_value for c in config.classes}
         mean_cece = grid_value
 

@@ -158,8 +158,8 @@ def _scaled(metric: str, value: float | None) -> float | None:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy float64 too: its repr would be "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 

@@ -12,8 +12,8 @@ import pytest
 from scipy.special import ndtr
 
 from voxeval.consensus import ConsensusRegions
-from voxeval.errors import ParameterError
-from voxeval.grid import GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
+from voxeval.errors import ChannelSumError, ParameterError
+from voxeval.grid import CHANNEL_SUM_TOLERANCE, GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
 from voxeval.metrics import METRIC_NAMES, CalibrationBins, CaseMetrics
 from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
 from voxeval.stability import BootstrapSummary, RankStats, _metric_matrix
@@ -123,15 +123,20 @@ def consensus_by_voxel_loop(rater_arrays, class_id):
     return fg, bg, dissensus
 
 
-def dsc_by_voxel_loop(prob: ProbabilityVolume, rater_arrays, class_id, threshold=0.5):
-    """TP/FP/FN counting loop over the raw rater arrays."""
+def dsc_by_voxel_loop(prob: ProbabilityVolume, rater_arrays, class_id, threshold=0.5, argmax_mode=False):
+    """TP/FP/FN counting loop over the raw rater arrays; ``argmax_mode``
+    predicts the first channel holding the voxel's maximum."""
     dims = prob.geometry.dims
     tp = fp = fn = 0
     for x in range(dims[0]):
         for y in range(dims[1]):
             for z in range(dims[2]):
                 votes = [int(r[x, y, z] == class_id) for r in rater_arrays]
-                predicted = float(prob.channels[class_id][x, y, z]) >= threshold
+                if argmax_mode:
+                    ps = [float(prob.channels[c][x, y, z]) for c in range(4)]
+                    predicted = ps.index(max(ps)) == class_id
+                else:
+                    predicted = float(prob.channels[class_id][x, y, z]) >= threshold
                 if all(votes):
                     if predicted:
                         tp += 1
@@ -240,6 +245,50 @@ def calibration_reference(pred, raters, class_id, bins, literal=False,
             conf, correct = conf[include], correct[include]
         out.append(_bin_confidences_reference(conf, correct, bins, literal))
     return out
+
+
+def compensated_sum_reference(values, block=1 << 20) -> float:
+    """Float64 np.sum of each ``block``-value slice, totals combined with math.fsum."""
+    flat = np.asarray(values).reshape(-1)
+    return math.fsum(
+        float(np.sum(flat[i : i + block], dtype=np.float64)) for i in range(0, flat.size, block)
+    )
+
+
+def validate_probability_sums_reference(channels: np.ndarray, renormalize: bool = False) -> np.ndarray:
+    """Whole-array channel-sum check: the chunked validation must return the
+    same bytes or raise the same message (fault priority, channel and voxel)."""
+
+    def where(flat_index, shape):
+        return tuple(int(i) for i in np.unravel_index(int(flat_index), shape))
+
+    if not np.isfinite(channels).all():
+        idx = where(np.argmin(np.isfinite(channels)), channels.shape)
+        raise ChannelSumError(f"non-finite probability at channel/voxel {idx}")
+    if channels.size and channels.min() < 0.0:
+        idx = where(np.argmax(channels < 0.0), channels.shape)
+        raise ChannelSumError(f"negative probability {channels[idx]:.6g} at channel/voxel {idx}")
+    sums = channels.sum(axis=0, dtype=np.float64)
+    if renormalize:
+        zero = sums <= 0
+        if zero.any():
+            idx = where(np.argmax(zero), sums.shape)
+            raise ChannelSumError(f"cannot renormalize zero-sum voxel {idx}")
+        out = channels / sums[np.newaxis].astype(channels.dtype)
+        return out.astype(channels.dtype, copy=False)
+    if channels.size and channels.max() > 1.0:
+        idx = where(np.argmax(channels > 1.0), channels.shape)
+        raise ChannelSumError(
+            f"probability {channels[idx]:.6g} outside [0, 1] at channel/voxel {idx}"
+        )
+    err = np.abs(sums - 1.0)
+    worst = int(np.argmax(err))
+    if err.flat[worst] > CHANNEL_SUM_TOLERANCE:
+        raise ChannelSumError(
+            f"probability channels sum to {sums.flat[worst]:.6f} at voxel {where(worst, sums.shape)} "
+            f"(|sum - 1| = {err.flat[worst]:.2e} > {CHANNEL_SUM_TOLERANCE:g})"
+        )
+    return channels
 
 
 def crps_by_integration(mu: float, sigma: float, y: float) -> float:

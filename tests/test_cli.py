@@ -430,3 +430,38 @@ def test_regions_are_derived_once_per_case(tmp_path, monkeypatch, parallel_cases
     with open(tmp_path / "r" / "cases.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == 2 * 3  # 2 cases x 3 algorithms
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("stage", ["rater read", "prediction read", "evaluation"])
+def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, monkeypatch, capsys, stage):
+    from voxeval import cli
+
+    victim = {
+        "rater read": "case_002_rater_2.nii.gz",
+        "prediction read": "case_002_pred_mid.nii.gz",
+        "evaluation": "case_002_pred_mid.nii.gz",
+    }[stage]
+    real_read, real_evaluate = cli.read_volume, cli.evaluate_case
+
+    def read_volume(path, **kwargs):
+        if stage != "evaluation" and Path(path).name == victim:
+            raise MemoryError
+        return real_read(path, **kwargs)
+
+    def evaluate_case(pred, raters, config, case_id, algorithm, regions):
+        if stage == "evaluation" and (case_id, algorithm) == ("case_002", "mid"):
+            raise MemoryError
+        return real_evaluate(pred, raters, config, case_id, algorithm, regions)
+
+    monkeypatch.setattr(cli, "read_volume", read_volume)
+    monkeypatch.setattr(cli, "evaluate_case", evaluate_case)
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5"]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 4
+    err = capsys.readouterr().err
+    where = "case 'case_002'" if stage == "rater read" else "case 'case_002', algorithm 'mid'"
+    assert err.startswith(f"error: {where}: out of memory reading or evaluating ")
+    assert victim in err and "Traceback" not in err
+    assert main(args + ["--out", str(tmp_path / "s"), "--skip-bad-cases"]) == 0
+    skipped = json.loads((tmp_path / "s" / "run_meta.json").read_text())["skipped_cases"]
+    assert [s["case_id"] for s in skipped] == ["case_002"]
+    assert victim in skipped[0]["reason"]

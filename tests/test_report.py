@@ -237,6 +237,32 @@ def test_cases_csv_round_trips_raw_values(tmp_path, rng):
         assert rec["mean_dsc"] == cm.mean_dsc
 
 
+def test_cases_csv_writes_numpy_floats_as_plain_numbers(tmp_path):
+    import numpy as np
+
+    def emitted(out, number):
+        cms = [
+            make_case_metrics(case, alg, number(0.9 - 0.1 * j), number(0.8), number(0.01 * (j + 1)), number(1.5 + j))
+            for case in ("c1", "c2")
+            for j, alg in enumerate(("x", "y"))
+        ]
+        manifest = manifest_stub(tmp_path, {"c1": "A", "c2": "B"})
+        boot = bootstrap_ranks(cms, iterations=5, seed=0)
+        emit(out, case_metrics=cms, manifest=manifest, ranking=rank_cases(cms), bootstrap=boot,
+             bubbles=bubble_export(boot), groups=aggregate(cms, manifest), correlation=None,
+             run_meta={"tool": "voxeval"})
+        return (out / "cases.csv").read_bytes()
+
+    text = emitted(tmp_path / "np", np.float64)
+    rows = list(csv.DictReader(text.decode().splitlines()))
+    metric_columns = [k for k in rows[0] if k not in ("case_id", "algorithm", "group", "flags")]
+    assert len(metric_columns) == 16
+    for row in rows:
+        for column in metric_columns:
+            assert math.isfinite(float(row[column])), (column, row[column])
+    assert text == emitted(tmp_path / "py", float)  # Python floats keep their exact bytes
+
+
 def test_groups_csv_unit_scaling(tmp_path, rng):
     inputs = full_artifact_inputs(tmp_path, rng)
     out = tmp_path / "o"
