@@ -48,6 +48,9 @@ SUM_BLOCK = 1 << 20
 class EvalConfig:
     """Knobs for a single (case, algorithm) evaluation."""
 
+    #: Dice predicts a voxel where ``p >= threshold``, compared at the
+    #: prediction's dtype: for float32 channels the threshold is rounded to
+    #: float32 first, so a voxel holding float32(0.7) counts at 0.7.
     threshold: float = 0.5
     argmax_mode: bool = False
     ece_bins: int = 10

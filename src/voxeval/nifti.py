@@ -15,6 +15,13 @@ Two on-disk formats are supported:
 
 Payload layout matches NIfTI: x varies fastest, then y, then z; for 4D
 data the channel axis is slowest (one full 3D block per channel).
+
+Reads are bounded. The header is validated before any payload byte is
+read, and nothing past the payload it declares is held. Each payload is
+decoded straight into its owned, native-order memory layout ([x,y,z] or
+[c,x,y,z]) through a reused slab of SLAB_PLANES z-planes, so a read holds
+the decoded array plus one slab, and a gzip file is inflated from disk
+INFLATE_BYTES at a time.
 """
 
 import gzip
@@ -47,6 +54,8 @@ MAGIC = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 #: Largest piece of a gzip stream inflated at once, and of compressed input fed to zlib at once.
 INFLATE_BYTES = 1 << 16
+#: z-planes of one channel decoded at a time: the staging slab of every read.
+SLAB_PLANES = 16
 
 # datatype code -> (numpy base dtype, bitpix)
 DTYPE_CODES = {
@@ -71,55 +80,56 @@ _HONORED_FIELDS = {
 }
 
 
-def _read_bytes(path: Path) -> tuple[np.ndarray, dict]:
-    """The validated header fields and the file's bytes up to the payload end they declare.
+def _read_file(path: Path) -> tuple[np.ndarray, dict]:
+    """The validated header fields and the decoded payload of a NIfTI file (see _read_stream).
 
-    Nothing past that end is held: a plain file is not read further, and
-    the rest of a gzip stream is inflated in INFLATE_BYTES pieces and
-    dropped, so its CRC and length are still checked.
+    Nothing past the payload end the header declares is held: a plain
+    file is not read further, and the rest of a gzip stream is inflated
+    in INFLATE_BYTES pieces and dropped, so its CRC and length are still
+    checked.
     """
     with open(path, "rb") as f:
         if f.read(2) != GZIP_MAGIC:
             f.seek(0)
-            return _read_declared(f)
+            return _read_stream(f)
         f.seek(0)
-        stream = _Gunzip(f.read())
-    try:
-        raw, fields = _read_declared(stream)
-        stream.drain()
-    except (EOFError, zlib.error) as exc:
-        raise FormatError(f"corrupt gzip stream: {exc}") from exc
-    return raw, fields
+        stream = _Gunzip(f)
+        try:
+            arr, fields = _read_stream(stream)
+            stream.drain()
+        except (EOFError, zlib.error) as exc:
+            raise FormatError(f"corrupt gzip stream: {exc}") from exc
+    return arr, fields
 
 
-def _inflate(data: bytes):
-    """Yield the inflated bytes of the gzip stream ``data`` in pieces of at most INFLATE_BYTES.
+def _inflate(f):
+    """Yield the inflated bytes of the gzip file ``f`` in pieces of at most INFLATE_BYTES.
 
-    Every member is read in turn, skipping zero padding after each, as
-    gzip does. zlib checks each member's CRC-32 and length; a corrupt or
-    truncated stream raises zlib.error or EOFError.
+    Compressed bytes are read INFLATE_BYTES at a time. Every member is
+    read in turn, skipping zero padding after each, as gzip does. zlib
+    checks each member's CRC-32 and length; a corrupt or truncated stream
+    raises zlib.error or EOFError.
     """
-    view, pos = memoryview(data), 0
-    while pos < len(view):
-        inflater, tail = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS), b""  # gzip framing
+    data = f.read(INFLATE_BYTES)
+    while data:
+        inflater = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)  # gzip framing
         while not inflater.eof:
-            if not tail:
-                if pos == len(view):
+            if not data:
+                data = f.read(INFLATE_BYTES)
+                if not data:
                     raise EOFError("compressed stream ended before the end-of-stream marker")
-                tail = view[pos : pos + INFLATE_BYTES]
-                pos += len(tail)
-            yield inflater.decompress(tail, INFLATE_BYTES)
-            tail = inflater.unconsumed_tail
-        pos -= len(inflater.unused_data)
-        while pos < len(view) and view[pos] == 0:
-            pos += 1
+            yield inflater.decompress(data, INFLATE_BYTES)
+            data = inflater.unconsumed_tail
+        data = inflater.unused_data.lstrip(b"\x00")
+        while not data and (more := f.read(INFLATE_BYTES)):
+            data = more.lstrip(b"\x00")
 
 
 class _Gunzip:
-    """A gzip stream held in memory, read like a file with ``readinto``."""
+    """A gzip file, inflated on demand and read like a file with ``readinto``."""
 
-    def __init__(self, data: bytes):
-        self._pieces = _inflate(data)
+    def __init__(self, f):
+        self._pieces = _inflate(f)
         self._left = memoryview(b"")  # inflated bytes not yet handed out
 
     def readinto(self, buf) -> int:
@@ -142,27 +152,77 @@ class _Gunzip:
             pass
 
 
-def _read_declared(stream) -> tuple[np.ndarray, dict]:
+def _read_stream(stream) -> tuple[np.ndarray, dict]:
+    """Header fields and decoded payload of a NIfTI stream.
+
+    The header is validated before any payload byte is read.
+    """
     head = bytearray(HEADER_SIZE)
     head = head[: stream.readinto(head)]
     fields = _parse_header(head)
-    raw = _read_upto(stream, fields["end"], head)
-    if len(raw) < fields["end"]:
+    slope, inter = float(fields["scl_slope"]), float(fields["scl_inter"])
+    scale = None if slope == 0.0 or (slope == 1.0 and inter == 0.0) else (slope, inter)  # slope 0: unscaled
+    got = len(head) + _skip(stream, fields["vox_offset"] - len(head))
+    arr, n = _read_payload(stream, fields["dtype"], fields["geometry"].dims, fields["channels"], scale)
+    got += n
+    if got < fields["end"]:
         raise FormatError(
             f"payload truncated: need {fields['end'] - fields['vox_offset']} bytes at offset "
-            f"{fields['vox_offset']}, file has {len(raw) - fields['vox_offset']}"
+            f"{fields['vox_offset']}, file has {got - fields['vox_offset']}"
         )
-    return raw, fields
+    return arr, fields
 
 
-def _read_upto(stream, end: int, head=b"") -> np.ndarray:
-    """The first ``end`` bytes of ``stream`` (fewer if it ends first), ``head`` being those already read."""
+def _skip(stream, n: int) -> int:
+    """Read and drop up to ``n`` bytes of ``stream``, INFLATE_BYTES at a time; the number dropped."""
+    buf, done = memoryview(bytearray(min(n, INFLATE_BYTES))), 0
+    while done < n and (k := stream.readinto(buf[: n - done])):
+        done += k
+    return done
+
+
+def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> tuple[np.ndarray, int]:
+    """Decode an x-fastest payload straight into an owned, native-order array in memory layout.
+
+    The array is [x,y,z] if ``channels`` is 0, else [c,x,y,z]. A ``scale``
+    of (slope, inter) maps each value p to ``p * slope + inter``, with the
+    dtype and the bits the whole-array expression gives; without one the
+    file's dtype is kept. The stream is read into one reused slab of at
+    most SLAB_PLANES z-planes of one channel, and each slab is
+    byte-swapped, transposed and scaled into place, so a read holds the
+    array and one slab.
+
+    Returns the array and the number of bytes read. Fewer than the
+    payload means the stream ended first and the array is incomplete.
+    """
+    dx, dy, dz = dims
+    native = dtype.newbyteorder("=")
+    shape = (dx, dy, dz) if channels == 0 else (channels, dx, dy, dz)
+    plane = dy * dx * dtype.itemsize
+    planes = min(dz, SLAB_PLANES)
     try:
-        buf = np.empty(end, dtype=np.uint8)  # pages the stream does not fill are never touched
+        # pages of a truncated stream's missing planes are never touched
+        out = np.empty(shape, dtype=native if scale is None else np.result_type(native, scale[0]))
+        slab = np.empty(planes * plane, dtype=np.uint8)
     except (MemoryError, ValueError) as exc:
-        raise FormatError(f"header declares {end} bytes, more than can be held: {exc}") from exc
-    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    return buf[: len(head) + stream.readinto(buf[len(head) :])]
+        n_bytes = math.prod(shape) * dtype.itemsize
+        raise FormatError(f"header declares {n_bytes} payload bytes, more than can be held: {exc}") from exc
+
+    got = 0
+    for block in out if channels else (out,):
+        for z0 in range(0, dz, planes):
+            nz = min(planes, dz - z0)
+            n = stream.readinto(slab[: nz * plane])
+            got += n
+            if n < nz * plane:
+                return out, got
+            part = block[:, :, z0 : z0 + nz]
+            part[...] = slab[: nz * plane].view(dtype).reshape(nz, dy, dx).transpose(2, 1, 0)
+            if scale is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
+                    part *= scale[0]
+                    part += scale[1]
+    return out, got
 
 
 def _parse_header(raw: bytes) -> dict:
@@ -220,30 +280,6 @@ def _parse_header(raw: bytes) -> dict:
             "vox_offset": vox_offset, "end": vox_offset + n_bytes}
 
 
-def _decode_payload(raw: np.ndarray, fields: dict) -> np.ndarray:
-    """The payload as an owned array in memory layout ([x,y,z] or [c,x,y,z]), scaled."""
-    geometry, channels = fields["geometry"], fields["channels"]
-    n_elem = max(channels, 1) * geometry.n_voxels
-    arr = np.frombuffer(raw, dtype=fields["dtype"], count=n_elem, offset=fields["vox_offset"])
-    arr = _to_memory_layout(arr, geometry.dims, channels)
-
-    slope, inter = float(fields["scl_slope"]), float(fields["scl_inter"])
-    if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
-            arr = arr * slope + inter
-    return arr
-
-
-def _to_memory_layout(flat: np.ndarray, dims, channels: int) -> np.ndarray:
-    """Owned native-order copy of an x-fastest payload: [x,y,z] if channels is 0, else [c,x,y,z]."""
-    dx, dy, dz = dims
-    if channels == 0:
-        view = flat.reshape(dz, dy, dx).transpose(2, 1, 0)
-    else:
-        view = flat.reshape(channels, dz, dy, dx).transpose(0, 3, 2, 1)
-    return view.astype(flat.dtype.newbyteorder("="), order="C")  # cast and transpose in one copy
-
-
 def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
     if arr.dtype.kind == "f":
         rounded = np.rint(arr)
@@ -272,9 +308,7 @@ def read_nifti(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolu
     ``renormalize`` flag divides each voxel of a probability map by its
     channel sum instead of rejecting out-of-tolerance sums.
     """
-    raw, fields = _read_bytes(Path(path))
-    arr = _decode_payload(raw, fields)
-    del raw  # the array is an owned copy; free the file bytes before validation
+    arr, fields = _read_file(Path(path))
     if fields["channels"] == 0:
         return _as_label(arr, fields["geometry"])
     return _as_probability(arr, fields["geometry"], renormalize)
@@ -354,12 +388,9 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
     n_elem = max(channels, 1) * geometry.n_voxels
     dtype = np.dtype("<" + DESK_DTYPES[meta["dtype"]])
     with open(path.with_suffix(".raw"), "rb") as f:
-        raw = _read_upto(f, n_elem * dtype.itemsize)
-    if len(raw) < n_elem * dtype.itemsize:
-        raise FormatError(f"desk payload has {len(raw) // dtype.itemsize} elements, expected {n_elem}")
-    arr = np.frombuffer(raw, dtype=dtype, count=n_elem)
-    arr = _to_memory_layout(arr, geometry.dims, channels)
-    del raw
+        arr, got = _read_payload(f, dtype, geometry.dims, channels)
+    if got < n_elem * dtype.itemsize:
+        raise FormatError(f"desk payload has {got // dtype.itemsize} elements, expected {n_elem}")
     if channels == 0:
         return _as_label(arr, geometry)
     return _as_probability(arr, geometry, renormalize)

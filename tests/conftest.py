@@ -255,6 +255,27 @@ def compensated_sum_reference(values, block=1 << 20) -> float:
     )
 
 
+def decode_payload_reference(payload: bytes, dtype, dims, channels: int, scale=None) -> np.ndarray:
+    """Whole-array decode of an x-fastest payload: the slab decoder must give the same bits and dtype.
+
+    An owned native-order array in memory layout ([x,y,z] if ``channels``
+    is 0, else [c,x,y,z]); a (slope, inter) ``scale`` maps it to
+    ``arr * slope + inter``.
+    """
+    dtype = np.dtype(dtype)
+    dx, dy, dz = dims
+    flat = np.frombuffer(payload, dtype=dtype, count=max(channels, 1) * dx * dy * dz)
+    if channels == 0:
+        view = flat.reshape(dz, dy, dx).transpose(2, 1, 0)
+    else:
+        view = flat.reshape(channels, dz, dy, dx).transpose(0, 3, 2, 1)
+    arr = view.astype(dtype.newbyteorder("="), order="C")  # cast and transpose in one copy
+    if scale is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = arr * scale[0] + scale[1]
+    return arr
+
+
 def validate_probability_sums_reference(channels: np.ndarray, renormalize: bool = False) -> np.ndarray:
     """Whole-array channel-sum check: the chunked validation must return the
     same bytes or raise the same message (fault priority, channel and voxel)."""

@@ -105,6 +105,18 @@ def test_empty_consensus_conventions():
     assert dsc == 0.0 and flag
 
 
+def test_threshold_is_compared_at_the_prediction_dtype():
+    # float32(0.7) is 0.69999999, below 0.7 in float64 but equal to the threshold cast to float32.
+    assert float(np.float32(0.7)) < 0.7
+    labels = np.array([1, 0], dtype=np.uint8).reshape(2, 1, 1)
+    regions = derive_regions([label_volume(labels), label_volume(labels)])
+    channels = np.zeros((4, 2, 1, 1), dtype=np.float32)
+    channels[1, 0] = np.float32(0.7)
+    channels[0] = 1.0 - channels[1]
+    pred = ProbabilityVolume(geom((2, 1, 1)), channels)
+    assert dsc_consensus(pred, regions, 1, threshold=0.7) == (1.0, False)
+
+
 def test_argmax_mode_differs_from_threshold():
     raters = two_rater_fixture()
     regions = derive_regions(raters)

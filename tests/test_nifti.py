@@ -1,15 +1,18 @@
 """Volume reading/writing: header subset, endianness, round trips."""
 
 import gzip
+import itertools
 import json
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geom, label_volume, one_hot_volume
+from conftest import decode_payload_reference, geom, label_volume, one_hot_volume
 from voxeval.errors import (
     ChannelSumError,
     FormatError,
@@ -23,6 +26,7 @@ from voxeval.nifti import (
     DTYPE_CODES,
     read_desk,
     read_nifti,
+    SLAB_PLANES,
     read_volume,
     write_desk,
     write_nifti,
@@ -404,6 +408,132 @@ def test_bytes_past_the_declared_payload_are_ignored(tmp_path):
     p = tmp_path / "long.nii"
     p.write_bytes(build_nifti((2, 2, 2), 2, bytes(8) + b"\xff" * 4096))
     assert not read_volume(p).voxels.any()
+
+
+def _file_payload(values: np.ndarray, dtype) -> bytes:
+    """``values`` ([x,y,z] or [c,x,y,z]) as file bytes: x fastest, channel slowest."""
+    order = (2, 1, 0) if values.ndim == 3 else (0, 3, 2, 1)
+    return np.ascontiguousarray(values.transpose(order)).astype(dtype).tobytes()
+
+
+def _readable_values(rng, base: str, dims, channels: int, scaled: bool) -> np.ndarray:
+    """Values read_volume accepts after any scaling: labels 0..3, or channels summing to 1.
+
+    Scaled labels are 0/1 for a (2, 1) scale; scaled channels sum to 4 for (0.25, 0).
+    """
+    if channels == 0:
+        return rng.integers(0, 2 if scaled else 4, size=dims).astype(base)
+    if base in ("u1", "i2"):
+        counts = rng.multinomial(4 if scaled else 1, [0.25] * channels, size=dims)
+        return np.moveaxis(counts, -1, 0).astype(base)
+    raw = rng.random((channels, *dims)) + 1e-3
+    return (raw / raw.sum(axis=0) * (4 if scaled else 1)).astype(base)
+
+
+_DECODE_CASES = [
+    (container, base, endian)
+    for container, base, endian in itertools.product(("nii", "nii.gz", "desk"), ("u1", "i2", "f4", "f8"), "<>")
+    if not (container == "desk" and endian == ">")  # desk payloads are little-endian
+]
+
+
+@pytest.mark.parametrize("container, base, endian", _DECODE_CASES)
+def test_slab_decode_matches_whole_array_decode(tmp_path, container, base, endian):
+    rng = np.random.default_rng(11)
+    dtype = np.dtype(endian + base)
+    code = {b: c for c, (b, _) in DTYPE_CODES.items()}[base]
+    desk_name = {v: k for k, v in DESK_DTYPES.items()}[base]
+    grid = itertools.product((0, 4), (1, 15, 16, 17, 40), (False, True), (352.0, 66000.0))
+    for i, (channels, dz, scaled, vox_offset) in enumerate(grid):
+        if container == "desk" and (scaled or vox_offset != 352.0):
+            continue  # desk files have neither scaling nor a header gap
+        dims = (3, 2, dz)
+        payload = _file_payload(_readable_values(rng, base, dims, channels, scaled), dtype)
+        scale = ((2.0, 1.0) if channels == 0 else (0.25, 0.0)) if scaled else None
+        if container == "desk":
+            path = tmp_path / f"v{i}.json"
+            meta = {"dims": list(dims), "spacing_mm": [1.0, 1.0, 1.0], "dtype": desk_name, "channels": channels}
+            path.write_text(json.dumps(meta))
+            path.with_suffix(".raw").write_bytes(payload)
+        else:
+            slope, inter = scale or (0.0, 0.0)
+            blob = build_nifti(dims, code, payload, endian=endian, dim4=max(channels, 1),
+                               vox_offset=vox_offset, scl_slope=slope, scl_inter=inter)
+            path = tmp_path / f"v{i}.{container}"
+            path.write_bytes(gzip.compress(blob, mtime=0) if container == "nii.gz" else blob)
+
+        expected = decode_payload_reference(payload, dtype, dims, channels, scale)
+        # read_volume's conversion of the decoded array: float labels to uint8, integer channels to float32
+        if channels == 0 and expected.dtype.kind == "f":
+            expected = expected.astype(np.uint8)
+        elif channels and expected.dtype.kind != "f":
+            expected = expected.astype(np.float32)
+        volume = read_volume(path)
+        got = volume.channels if channels else volume.voxels
+        case = (channels, dz, scaled, vox_offset)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, case
+        assert got.flags.c_contiguous and got.tobytes() == expected.tobytes(), case
+
+
+_CUT_PLANE = 3 * 2 * 4  # bytes per z-plane of one float32 channel of the 3x2x40 grid below
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+@pytest.mark.parametrize(
+    "kept",
+    [SLAB_PLANES * _CUT_PLANE, 2 * SLAB_PLANES * _CUT_PLANE + 13, 40 * _CUT_PLANE],
+    ids=["slab-boundary", "inside-slab", "channel-boundary"],
+)
+def test_payload_cut_is_truncated_with_exact_byte_counts(tmp_path, compress, kept):
+    payload = _file_payload(np.full((4, 3, 2, 40), 0.25, dtype=np.float32), "<f4")
+    blob = build_nifti((3, 2, 40), 16, payload[:kept], dim4=4, vox_offset=352.0)
+    p = tmp_path / ("cut.nii.gz" if compress else "cut.nii")
+    p.write_bytes(gzip.compress(blob, mtime=0) if compress else blob)
+    message = f"payload truncated: need {len(payload)} bytes at offset 352, file has {kept}"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_volume(p)
+
+
+def _read_peak(path) -> tuple[np.ndarray, int]:
+    """The array read_volume decodes from ``path`` and the tracemalloc peak of the read."""
+    tracemalloc.start()
+    try:
+        volume = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (volume.channels if isinstance(volume, ProbabilityVolume) else volume.voxels), peak
+
+
+def _random_probability_nifti(rng, dims) -> bytes:
+    """A 4D float32 NIfTI of normalized random channels: poorly compressible, as a real softmax is."""
+    raw = rng.random((4, *dims), dtype=np.float32) + np.float32(1e-3)
+    return build_nifti(dims, 16, _file_payload(raw / raw.sum(axis=0), "<f4"), dim4=4, vox_offset=352.0)
+
+
+@pytest.mark.parametrize("kind", ["probability.nii", "probability.nii.gz", "label.nii"])
+def test_read_holds_at_most_the_decoded_array_and_one_slab(tmp_path, rng, kind):
+    dims = (64, 64, 40)
+    if kind.startswith("label"):
+        blob = build_nifti(dims, 2, _file_payload(rng.integers(0, 4, size=dims), "u1"), vox_offset=352.0)
+    else:
+        blob = _random_probability_nifti(rng, dims)
+    p = tmp_path / kind
+    p.write_bytes(gzip.compress(blob, compresslevel=1, mtime=0) if kind.endswith(".gz") else blob)
+    arr, peak = _read_peak(p)
+    slab = SLAB_PLANES * dims[0] * dims[1] * arr.itemsize
+    assert peak <= arr.nbytes + slab + (1 << 20)
+
+
+def test_incompressible_gzip_read_does_not_hold_the_compressed_file(tmp_path, rng):
+    dims = (128, 128, 40)
+    p = tmp_path / "softmax.nii.gz"
+    p.write_bytes(gzip.compress(_random_probability_nifti(rng, dims), compresslevel=1, mtime=0))
+    arr, peak = _read_peak(p)
+    slab = SLAB_PLANES * dims[0] * dims[1] * arr.itemsize
+    margin = 2 << 20
+    assert p.stat().st_size > 2 * margin  # holding the compressed file would break the bound
+    assert peak < arr.nbytes + slab + margin
 
 
 # Header fields the reader honors: (offset, struct format of one element, element count, values).
