@@ -21,10 +21,18 @@ read, and nothing past the payload it declares is held. Each payload is
 decoded straight into its owned, native-order memory layout ([x,y,z] or
 [c,x,y,z]) through a reused slab of SLAB_PLANES z-planes, so a read holds
 the decoded array plus one slab, and a gzip file is inflated from disk
-INFLATE_BYTES at a time.
+INFLATE_BYTES at a time. A float-typed label map is checked and cast to
+uint8 chunk by chunk.
+
+Writes run the same way backwards: each slab is transposed from the
+memory layout into one reused little-endian buffer and written out, so a
+write holds one slab besides the volume. In both directions a slab is
+transposed in TILE x TILE (x, y) blocks, which keep the pages each copy
+touches cached.
 """
 
 import gzip
+import itertools
 import json
 import math
 import operator
@@ -46,6 +54,7 @@ from .grid import (
     GridGeometry,
     LabelVolume,
     ProbabilityVolume,
+    chunk_bounds,
     validate_probability_sums,
 )
 
@@ -54,8 +63,10 @@ MAGIC = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 #: Largest piece of a gzip stream inflated at once, and of compressed input fed to zlib at once.
 INFLATE_BYTES = 1 << 16
-#: z-planes of one channel decoded at a time: the staging slab of every read.
+#: z-planes of one channel decoded or encoded at a time: the staging slab of every read and write.
 SLAB_PLANES = 16
+#: Side of the (x, y) blocks in which a slab is transposed between file order and memory layout.
+TILE = 64
 
 # datatype code -> (numpy base dtype, bitpix)
 DTYPE_CODES = {
@@ -181,6 +192,35 @@ def _skip(stream, n: int) -> int:
     return done
 
 
+def _slab_parts(arr: np.ndarray):
+    """The [x, y, z0:z0+nz] views of ``arr`` ([x,y,z] or [c,x,y,z]) in file order.
+
+    Channel by channel, SLAB_PLANES z-planes at a time: the order in which
+    the x-fastest payload holds them.
+    """
+    dz = arr.shape[-1]
+    for block in arr if arr.ndim == 4 else (arr,):
+        for z0 in range(0, dz, SLAB_PLANES):
+            yield block[:, :, z0 : z0 + SLAB_PLANES]
+
+
+def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src.transpose(2, 1, 0)``, one TILE-sided block at a time.
+
+    One of the two is a slab in memory layout [x, y, z], the other the same
+    slab in file order [z, y, x]. A whole-slab assignment walks ``dst`` in
+    C order, and consecutive values along its last axis lie far apart in
+    ``src`` (a z-plane of the file, or a y-z sheet of the layout), so
+    nearly every value copied touches another page; a TILE x TILE block
+    touches few enough pages and cache lines to keep them cached. The
+    assignment converts byte order and dtype as the whole-slab one does,
+    and a slab that fits one block is copied in one assignment.
+    """
+    src = src.transpose(2, 1, 0)
+    for i, j, k in itertools.product(*(range(0, n, TILE) for n in dst.shape)):
+        dst[i : i + TILE, j : j + TILE, k : k + TILE] = src[i : i + TILE, j : j + TILE, k : k + TILE]
+
+
 def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> tuple[np.ndarray, int]:
     """Decode an x-fastest payload straight into an owned, native-order array in memory layout.
 
@@ -189,8 +229,8 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
     dtype and the bits the whole-array expression gives; without one the
     file's dtype is kept. The stream is read into one reused slab of at
     most SLAB_PLANES z-planes of one channel, and each slab is
-    byte-swapped, transposed and scaled into place, so a read holds the
-    array and one slab.
+    byte-swapped, transposed (see _transpose_into) and scaled into place,
+    so a read holds the array and one slab.
 
     Returns the array and the number of bytes read. Fewer than the
     payload means the stream ended first and the array is incomplete.
@@ -199,30 +239,45 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
     native = dtype.newbyteorder("=")
     shape = (dx, dy, dz) if channels == 0 else (channels, dx, dy, dz)
     plane = dy * dx * dtype.itemsize
-    planes = min(dz, SLAB_PLANES)
     try:
         # pages of a truncated stream's missing planes are never touched
         out = np.empty(shape, dtype=native if scale is None else np.result_type(native, scale[0]))
-        slab = np.empty(planes * plane, dtype=np.uint8)
+        slab = np.empty(min(dz, SLAB_PLANES) * plane, dtype=np.uint8)
     except (MemoryError, ValueError) as exc:
         n_bytes = math.prod(shape) * dtype.itemsize
         raise FormatError(f"header declares {n_bytes} payload bytes, more than can be held: {exc}") from exc
 
     got = 0
-    for block in out if channels else (out,):
-        for z0 in range(0, dz, planes):
-            nz = min(planes, dz - z0)
-            n = stream.readinto(slab[: nz * plane])
-            got += n
-            if n < nz * plane:
-                return out, got
-            part = block[:, :, z0 : z0 + nz]
-            part[...] = slab[: nz * plane].view(dtype).reshape(nz, dy, dx).transpose(2, 1, 0)
-            if scale is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
-                    part *= scale[0]
-                    part += scale[1]
+    for part in _slab_parts(out):
+        nz = part.shape[2]
+        n = stream.readinto(slab[: nz * plane])
+        got += n
+        if n < nz * plane:
+            return out, got
+        _transpose_into(part, slab[: nz * plane].view(dtype).reshape(nz, dy, dx))
+        if scale is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
+                part *= scale[0]
+                part += scale[1]
     return out, got
+
+
+def _write_payload(f, arr: np.ndarray) -> None:
+    """Write ``arr`` ([x,y,z] or [c,x,y,z]) to ``f`` as a little-endian x-fastest payload.
+
+    Each slab of SLAB_PLANES z-planes of one channel is transposed into
+    one reused buffer (see _transpose_into) and written INFLATE_BYTES at a
+    time, so a write holds one slab besides the array, and a gzip ``f``
+    compresses, and holds the output of, one piece at a time.
+    """
+    dx, dy, dz = arr.shape[-3:]
+    slab = np.empty((min(dz, SLAB_PLANES), dy, dx), dtype=arr.dtype.newbyteorder("<"))
+    for part in _slab_parts(arr):
+        file_part = slab[: part.shape[2]]
+        _transpose_into(file_part, part)
+        data = file_part.reshape(-1).view(np.uint8)
+        for start in range(0, len(data), INFLATE_BYTES):
+            f.write(data[start : start + INFLATE_BYTES])
 
 
 def _parse_header(raw: bytes) -> dict:
@@ -281,17 +336,30 @@ def _parse_header(raw: bytes) -> dict:
 
 
 def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
+    """The label map of a decoded 3D volume: integer class ids 0..N_CHANNELS-1.
+
+    A float-typed volume (a float file, or a scaled one) must hold only
+    integers; it is checked and cast to uint8 chunk by chunk
+    (grid.chunk_bounds) into one preallocated array, so the check makes
+    no full-size temporary.
+    """
     if arr.dtype.kind == "f":
-        rounded = np.rint(arr)
-        if not (np.array_equal(rounded, arr) and np.isfinite(arr).all()):
-            raise FormatError("3D volume holds non-integer or non-finite values; cannot be a label map")
-        arr = rounded
-    if arr.size and (arr.min() < 0 or arr.max() >= N_CHANNELS):
-        bad = int(arr.min()) if arr.min() < 0 else int(arr.max())
+        labels = np.empty(arr.shape, dtype=np.uint8)
+        flat, flat_labels = arr.reshape(-1), labels.reshape(-1)
+        lo = hi = flat[0]
+        for start, stop in chunk_bounds(flat.size):
+            chunk = flat[start:stop]
+            if not (np.array_equal(np.rint(chunk), chunk) and np.isfinite(chunk).all()):
+                raise FormatError("3D volume holds non-integer or non-finite values; cannot be a label map")
+            lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
+            if 0 <= lo and hi < N_CHANNELS:  # else the range check below fails: cast nothing out of range
+                flat_labels[start:stop] = chunk
+    else:
+        labels, lo, hi = arr, arr.min(), arr.max()
+    if lo < 0 or hi >= N_CHANNELS:
+        bad = int(lo) if lo < 0 else int(hi)
         raise FormatError(f"label volume contains class id {bad} outside 0..{N_CHANNELS - 1}")
-    if arr.dtype.kind == "f":
-        arr = arr.astype(np.uint8)
-    return LabelVolume(geometry, arr)
+    return LabelVolume(geometry, labels)
 
 
 def _as_probability(arr: np.ndarray, geometry: GridGeometry, renormalize: bool) -> ProbabilityVolume:
@@ -326,21 +394,18 @@ def write_nifti(volume: LabelVolume | ProbabilityVolume, path) -> None:
     """Write a volume as little-endian NIfTI-1 (gzipped iff path ends .gz).
 
     Output is byte-deterministic: fixed vox_offset 352, zeroed unused
-    header fields, gzip mtime pinned to 0.
+    header fields, gzip mtime pinned to 0. The payload is written one slab
+    at a time (see _write_payload).
     """
     path = Path(path)
     if isinstance(volume, LabelVolume):
-        arr = volume.voxels
-        dim0, dim4 = 3, 1
-        payload = np.ascontiguousarray(arr.transpose(2, 1, 0))
+        arr, dim0, dim4 = volume.voxels, 3, 1
     else:
-        arr = volume.channels
-        dim0, dim4 = 4, N_CHANNELS
-        payload = np.ascontiguousarray(arr.transpose(0, 3, 2, 1))
+        arr, dim0, dim4 = volume.channels, 4, N_CHANNELS
     code, bitpix = _nifti_dtype_code(arr)
     dx, dy, dz = volume.geometry.dims
 
-    header = bytearray(HEADER_SIZE)
+    header = bytearray(HEADER_SIZE + 4)  # 4 zero bytes of extension flag up to vox_offset 352
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<8h", header, 40, dim0, dx, dy, dz, dim4, 1, 1, 1)
     struct.pack_into("<h", header, 70, code)
@@ -351,14 +416,15 @@ def write_nifti(volume: LabelVolume | ProbabilityVolume, path) -> None:
     struct.pack_into("<f", header, 116, 0.0)
     struct.pack_into("<4s", header, 344, MAGIC)
 
-    blob = bytes(header) + b"\x00" * 4 + payload.astype(payload.dtype.newbyteorder("<")).tobytes()
     try:
-        if path.suffix == ".gz":
-            with open(path, "wb") as f:
+        with open(path, "wb") as f:
+            if path.suffix == ".gz":
                 with gzip.GzipFile(filename="", mode="wb", fileobj=f, mtime=0) as gz:
-                    gz.write(blob)
-        else:
-            path.write_bytes(blob)
+                    gz.write(header)
+                    _write_payload(gz, arr)
+            else:
+                f.write(header)
+                _write_payload(f, arr)
     except OSError as exc:
         raise VolumeIOError(f"cannot write {path}: {exc}") from exc
 
@@ -400,10 +466,8 @@ def write_desk(volume: LabelVolume | ProbabilityVolume, path) -> None:
     path = Path(path)
     if isinstance(volume, LabelVolume):
         arr, channels = volume.voxels, 0
-        payload = np.ascontiguousarray(arr.transpose(2, 1, 0))
     else:
         arr, channels = volume.channels, N_CHANNELS
-        payload = np.ascontiguousarray(arr.transpose(0, 3, 2, 1))
     name = {v: k for k, v in DESK_DTYPES.items()}[arr.dtype.str.lstrip("<>|=")]
     meta = {
         "dims": list(volume.geometry.dims),
@@ -412,7 +476,8 @@ def write_desk(volume: LabelVolume | ProbabilityVolume, path) -> None:
         "channels": channels,
     }
     path.write_text(json.dumps(meta, sort_keys=True) + "\n")
-    path.with_suffix(".raw").write_bytes(payload.astype(payload.dtype.newbyteorder("<")).tobytes())
+    with open(path.with_suffix(".raw"), "wb") as f:
+        _write_payload(f, arr)
 
 
 def read_volume(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolume:

@@ -5,7 +5,11 @@ code paths: they loop voxel by voxel or integrate numerically, so they
 can disagree with the implementation when the implementation is wrong.
 """
 
+import gzip
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from voxeval.consensus import ConsensusRegions
 from voxeval.errors import ChannelSumError, ParameterError
 from voxeval.grid import CHANNEL_SUM_TOLERANCE, GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
 from voxeval.metrics import METRIC_NAMES, CalibrationBins, CaseMetrics
+from voxeval.nifti import DESK_DTYPES, DTYPE_CODES
 from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
 from voxeval.stability import BootstrapSummary, RankStats, _metric_matrix
 
@@ -274,6 +279,51 @@ def decode_payload_reference(payload: bytes, dtype, dims, channels: int, scale=N
         with np.errstate(over="ignore", invalid="ignore"):
             arr = arr * scale[0] + scale[1]
     return arr
+
+
+def write_volume_reference(volume: LabelVolume | ProbabilityVolume, path) -> None:
+    """Whole-array writer: ``write_nifti`` (``.nii``/``.nii.gz``) or, for ``.json``, ``write_desk``.
+
+    It builds the whole little-endian file-order payload at once; the slab
+    writers must write the same bytes.
+    """
+    path = Path(path)
+    if isinstance(volume, LabelVolume):
+        arr, dim0, channels = volume.voxels, 3, 0
+        payload = np.ascontiguousarray(arr.transpose(2, 1, 0))
+    else:
+        arr, dim0, channels = volume.channels, 4, 4
+        payload = np.ascontiguousarray(arr.transpose(0, 3, 2, 1))
+    payload = payload.astype(payload.dtype.newbyteorder("<")).tobytes()
+    base = arr.dtype.str.lstrip("<>|=")
+    if path.suffix == ".json":
+        meta = {
+            "dims": list(volume.geometry.dims),
+            "spacing_mm": list(volume.geometry.spacing),
+            "dtype": {v: k for k, v in DESK_DTYPES.items()}[base],
+            "channels": channels,
+        }
+        path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+        path.with_suffix(".raw").write_bytes(payload)
+        return
+    code = {b: c for c, (b, _) in DTYPE_CODES.items()}[base]
+    header = bytearray(348)
+    struct.pack_into("<i", header, 0, 348)
+    struct.pack_into("<8h", header, 40, dim0, *volume.geometry.dims, max(channels, 1), 1, 1, 1)
+    struct.pack_into("<h", header, 70, code)
+    struct.pack_into("<h", header, 72, DTYPE_CODES[code][1])
+    struct.pack_into("<8f", header, 76, 1.0, *volume.geometry.spacing, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<f", header, 108, 352.0)
+    struct.pack_into("<f", header, 112, 1.0)
+    struct.pack_into("<f", header, 116, 0.0)
+    struct.pack_into("<4s", header, 344, b"n+1\x00")
+    blob = bytes(header) + b"\x00" * 4 + payload
+    if path.suffix == ".gz":
+        with open(path, "wb") as f:
+            with gzip.GzipFile(filename="", mode="wb", fileobj=f, mtime=0) as gz:
+                gz.write(blob)
+    else:
+        path.write_bytes(blob)
 
 
 def validate_probability_sums_reference(channels: np.ndarray, renormalize: bool = False) -> np.ndarray:

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_payload_reference, geom, label_volume, one_hot_volume
+from conftest import (
+    decode_payload_reference,
+    geom,
+    label_volume,
+    one_hot_volume,
+    random_probability_volume,
+    write_volume_reference,
+)
+from voxeval import grid
 from voxeval.errors import (
     ChannelSumError,
     FormatError,
@@ -27,6 +35,7 @@ from voxeval.nifti import (
     read_desk,
     read_nifti,
     SLAB_PLANES,
+    TILE,
     read_volume,
     write_desk,
     write_nifti,
@@ -150,6 +159,40 @@ def test_write_is_deterministic(tmp_path, rng):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".json"], ids=["nii", "nii.gz", "desk"])
+def test_slab_writers_match_the_whole_array_writer(tmp_path, rng, suffix):
+    dims = (TILE + 3, TILE + 1, SLAB_PLANES + 1)  # four tiles with ragged edges, two slabs
+    g = geom(dims, (0.61, 0.8, 2.5))
+    raw = rng.random((4, *dims)) + 1e-3
+    channels = raw / raw.sum(axis=0)
+    labels = rng.integers(0, 4, size=dims)
+    volumes = [LabelVolume(g, labels.astype(t)) for t in ("u1", "<i2", ">i2")]
+    volumes += [ProbabilityVolume(g, channels.astype(t)) for t in ("<f4", ">f4", "<f8")]
+    write = write_desk if suffix == ".json" else write_nifti
+    for i, volume in enumerate(volumes):
+        got, want = tmp_path / f"got{i}{suffix}", tmp_path / f"want{i}{suffix}"
+        write(volume, got)
+        write_volume_reference(volume, want)
+        assert got.read_bytes() == want.read_bytes(), i
+        if suffix == ".json":
+            assert got.with_suffix(".raw").read_bytes() == want.with_suffix(".raw").read_bytes(), i
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".json"], ids=["nii", "nii.gz", "desk"])
+def test_write_holds_at_most_one_slab(tmp_path, rng, suffix):
+    dims = (64, 64, 40)
+    volume = random_probability_volume(rng, dims)
+    write = write_desk if suffix == ".json" else write_nifti
+    tracemalloc.start()
+    try:
+        write(volume, tmp_path / f"v{suffix}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab = SLAB_PLANES * dims[0] * dims[1] * volume.channels.itemsize
+    assert peak <= slab + (1 << 20)  # the whole-array writer held 2-4 copies of the 2.5 MiB volume
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     dims=st.tuples(*[st.integers(1, 5)] * 3),
@@ -253,6 +296,55 @@ def test_infinite_scaled_labels_are_format_errors(tmp_path, slope, inter):
     p.write_bytes(build_nifti((2, 2, 2), 2, bytes([1] * 8), scl_slope=slope, scl_inter=inter))
     with pytest.raises(FormatError, match="bad.nii: 3D volume holds non-integer or non-finite values"):
         read_volume(p)
+
+
+def _float_label_nifti(values: np.ndarray) -> bytes:
+    return build_nifti(values.shape, 16, _file_payload(values, "<f4"))
+
+
+@pytest.mark.parametrize(
+    "marks, message",
+    [
+        ({0: 7.0, 63: 0.5}, "3D volume holds non-integer or non-finite values"),  # wrong id first, fraction last
+        ({5: float("nan")}, "3D volume holds non-integer or non-finite values"),
+        ({3: float("inf")}, "3D volume holds non-integer or non-finite values"),
+        ({0: 9.0, 63: -2.0}, "label volume contains class id -2 outside 0..3"),  # a negative id is named first
+        ({30: 5.0}, "label volume contains class id 5 outside 0..3"),
+        ({40: 4.0, 0: -0.0}, "label volume contains class id 4 outside 0..3"),
+        ({20: 1e30}, f"label volume contains class id {int(np.float32(1e30))} outside 0..3"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # an out-of-range id is never cast to uint8
+def test_float_labels_are_checked_chunk_by_chunk(tmp_path, monkeypatch, marks, message):
+    monkeypatch.setattr(grid, "CHUNK_VOXELS", 8)  # a 4x4x4 map spans eight chunks
+    values = (np.arange(64, dtype=np.float32) % 4).reshape(4, 4, 4)
+    for flat_index, value in marks.items():
+        values.reshape(-1)[flat_index] = value
+    p = tmp_path / "labels.nii"
+    p.write_bytes(_float_label_nifti(values))
+    with pytest.raises(FormatError, match=re.escape(f"labels.nii: {message}")):
+        read_volume(p)
+
+
+def test_float_labels_read_as_uint8_across_chunks(tmp_path, monkeypatch, rng):
+    monkeypatch.setattr(grid, "CHUNK_VOXELS", 7)  # ragged last chunk
+    values = rng.integers(0, 4, size=(5, 4, 3)).astype(np.float32)
+    values[0, 0, 0] = -0.0
+    p = tmp_path / "labels.nii"
+    p.write_bytes(_float_label_nifti(values))
+    voxels = read_volume(p).voxels
+    assert voxels.dtype == np.uint8 and np.array_equal(voxels, values)
+
+
+def test_float_label_read_makes_no_full_size_temporary(tmp_path, rng):
+    dims = (128, 128, 64)
+    p = tmp_path / "labels.nii"
+    p.write_bytes(_float_label_nifti(rng.integers(0, 4, size=dims).astype(np.float32)))
+    voxels, peak = _read_peak(p)
+    decoded = voxels.size * 4
+    slab = SLAB_PLANES * dims[0] * dims[1] * 4
+    # a whole-array check held a rounded copy of the decoded map (+4 MiB) besides its masks
+    assert peak <= decoded + voxels.nbytes + slab + (1 << 20)
 
 
 def test_infinite_pixdim_is_format_error(tmp_path):
@@ -437,17 +529,41 @@ _DECODE_CASES = [
 ]
 
 
+# (dims, channels, scaled, vox_offset) of the decode tests: slab edges on a grid inside one tile,
+# and tile edges on grids that span several TILE x TILE blocks with ragged last blocks
+_SLAB_GRIDS = [
+    ((3, 2, dz), channels, scaled, vox_offset)
+    for channels, dz, scaled, vox_offset in itertools.product(
+        (0, 4), (1, 15, 16, 17, 40), (False, True), (352.0, 66000.0)
+    )
+]
+_TILE_GRIDS = [
+    (dims, channels, scaled, 352.0)
+    for dims, channels, scaled in itertools.product(
+        [(TILE + 3, 2 * TILE + 1, SLAB_PLANES + 1), (2 * TILE, TILE - 1, 3)], (0, 4), (False, True)
+    )
+]
+
+
 @pytest.mark.parametrize("container, base, endian", _DECODE_CASES)
 def test_slab_decode_matches_whole_array_decode(tmp_path, container, base, endian):
+    _assert_decodes_like_whole_array(tmp_path, container, base, endian, _SLAB_GRIDS)
+
+
+@pytest.mark.parametrize("container, base, endian", _DECODE_CASES)
+def test_tile_decode_matches_whole_array_decode(tmp_path, container, base, endian):
+    _assert_decodes_like_whole_array(tmp_path, container, base, endian, _TILE_GRIDS)
+
+
+def _assert_decodes_like_whole_array(tmp_path, container, base, endian, grids):
+    """read_volume gives decode_payload_reference's bits and dtype on each of ``grids``."""
     rng = np.random.default_rng(11)
     dtype = np.dtype(endian + base)
     code = {b: c for c, (b, _) in DTYPE_CODES.items()}[base]
     desk_name = {v: k for k, v in DESK_DTYPES.items()}[base]
-    grid = itertools.product((0, 4), (1, 15, 16, 17, 40), (False, True), (352.0, 66000.0))
-    for i, (channels, dz, scaled, vox_offset) in enumerate(grid):
+    for i, (dims, channels, scaled, vox_offset) in enumerate(grids):
         if container == "desk" and (scaled or vox_offset != 352.0):
             continue  # desk files have neither scaling nor a header gap
-        dims = (3, 2, dz)
         payload = _file_payload(_readable_values(rng, base, dims, channels, scaled), dtype)
         scale = ((2.0, 1.0) if channels == 0 else (0.25, 0.0)) if scaled else None
         if container == "desk":
@@ -460,7 +576,7 @@ def test_slab_decode_matches_whole_array_decode(tmp_path, container, base, endia
             blob = build_nifti(dims, code, payload, endian=endian, dim4=max(channels, 1),
                                vox_offset=vox_offset, scl_slope=slope, scl_inter=inter)
             path = tmp_path / f"v{i}.{container}"
-            path.write_bytes(gzip.compress(blob, mtime=0) if container == "nii.gz" else blob)
+            path.write_bytes(gzip.compress(blob, compresslevel=1, mtime=0) if container == "nii.gz" else blob)
 
         expected = decode_payload_reference(payload, dtype, dims, channels, scale)
         # read_volume's conversion of the decoded array: float labels to uint8, integer channels to float32
@@ -470,7 +586,7 @@ def test_slab_decode_matches_whole_array_decode(tmp_path, container, base, endia
             expected = expected.astype(np.float32)
         volume = read_volume(path)
         got = volume.channels if channels else volume.voxels
-        case = (channels, dz, scaled, vox_offset)
+        case = (dims, channels, scaled, vox_offset)
         assert got.dtype == expected.dtype and got.shape == expected.shape, case
         assert got.flags.c_contiguous and got.tobytes() == expected.tobytes(), case
 
