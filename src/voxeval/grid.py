@@ -9,9 +9,11 @@ Full-grid sweeps walk the flat logical ``[x, y, z]`` C-order in chunks of
 CHUNK_VOXELS voxels (:func:`chunk_bounds`), so their working memory does
 not grow with the grid. Channel-sum validation is one such sweep: each
 chunk checks its float64 channel sums, their finiteness, the channel
-minimum and maximum and the worst |sum - 1|, and ``renormalize`` divides
-chunk by chunk into one preallocated output. Only when a chunk fails is
-the whole array examined, to name the offending channel and voxel.
+minimum and maximum and the worst |sum - 1|, and renormalization divides
+each chunk, once checked, into an output array: a fresh one for
+:func:`validate_probability_sums`, the decoded array itself for the
+readers. Only when a chunk fails is the whole array examined, to name the
+offending channel and voxel.
 """
 
 import math
@@ -139,36 +141,56 @@ class ProbabilityVolume:
 def validate_probability_sums(channels: np.ndarray, renormalize: bool = False) -> np.ndarray:
     """Check per-voxel channel sums; optionally divide each voxel by its sum.
 
-    Returns the (possibly renormalized) channel array. Raises
-    ChannelSumError naming the worst offending voxel; renormalization is
-    opt-in and rejects non-finite values and the first zero-sum voxel.
-    The check runs chunk by chunk; a failing chunk hands the whole array
-    to :func:`_diagnose_probability_sums`, which names the voxel.
+    Returns ``channels`` itself, or with ``renormalize`` a new renormalized
+    array (``channels`` is left unchanged). Raises ChannelSumError naming
+    the worst offending voxel; renormalization is opt-in and rejects
+    non-finite values, the first zero-sum voxel and the first voxel whose
+    sum is not finite in the channel dtype (see :func:`check_channel_sums`).
+    """
+    out = np.empty(channels.shape, channels.dtype) if renormalize else None
+    check_channel_sums(channels, out)
+    return channels if out is None else out
+
+
+def check_channel_sums(channels: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Check ``channels`` chunk by chunk; with ``out``, renormalize into it.
+
+    ``out`` is a C-contiguous array of the same shape and dtype, or
+    ``channels`` itself to renormalize in place. Each chunk is checked
+    before it is divided, so when a chunk fails every earlier chunk, divided
+    or not, still passes every check, and :func:`_diagnose_probability_sums`
+    names the same first fault as it would on the undivided array.
     """
     flat = channels.reshape(channels.shape[0], -1)
-    out = np.empty_like(flat) if renormalize else None
+    dst = None if out is None else out.reshape(flat.shape)
+    sums_buffer = np.empty(min(CHUNK_VOXELS, flat.shape[1]))  # reused by every chunk
+    divisors_buffer = None if dst is None else np.empty_like(sums_buffer, dtype=channels.dtype)
     for start, stop in chunk_bounds(flat.shape[1]):
-        chunk = flat[:, start:stop]
-        sums = chunk.sum(axis=0, dtype=np.float64)
+        chunk, sums = flat[:, start:stop], sums_buffer[: stop - start]
+        with np.errstate(over="ignore"):  # finite float64 channels may overflow their sum: failed below
+            chunk.sum(axis=0, dtype=np.float64, out=sums)
         lo, hi = sums.min(), sums.max()
         # A non-finite channel value makes its voxel's float64 sum, so lo or hi, non-finite.
         failed = not (math.isfinite(lo) and math.isfinite(hi)) or chunk.min() < 0.0
-        if renormalize:
-            failed = failed or lo <= 0
+        if dst is not None:
+            divisors = divisors_buffer[: stop - start]
+            with np.errstate(over="ignore"):  # so may a float64 sum cast to the channel dtype
+                divisors[...] = sums
+            failed = failed or lo <= 0 or not math.isfinite(divisors.max())
             if not failed:
-                np.divide(chunk, sums.astype(chunk.dtype), out=out[:, start:stop])
+                np.divide(chunk, divisors, out=dst[:, start:stop])
         else:  # |sum - 1| is largest at the smallest or the largest sum
             failed = failed or chunk.max() > 1.0 or max(hi - 1.0, 1.0 - lo) > CHANNEL_SUM_TOLERANCE
         if failed:
-            return _diagnose_probability_sums(channels, renormalize)
-    return channels if out is None else out.reshape(channels.shape)
+            _diagnose_probability_sums(channels, renormalize=dst is not None)
 
 
-def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> np.ndarray:
+def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> None:
     """The whole-array check behind a failed chunk: raises ChannelSumError for
-    the first fault in priority order (non-finite, negative, zero sum or value
-    above 1, worst |sum - 1|), naming its channel and voxel. Finite float64
-    channels whose sum overflows are judged by these checks alone."""
+    the first fault in priority order (non-finite, negative, then zero sum
+    and a sum not finite in the channel dtype when renormalizing, else a
+    value above 1 and the worst |sum - 1|), naming its channel and voxel.
+    Every chunk that fails the chunked check holds one of these faults."""
     from .errors import ChannelSumError
 
     def where(flat_index, shape):
@@ -180,15 +202,19 @@ def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> np.nd
     if channels.size and channels.min() < 0.0:
         idx = where(np.argmax(channels < 0.0), channels.shape)
         raise ChannelSumError(f"negative probability {channels[idx]:.6g} at channel/voxel {idx}")
-    sums = channels.sum(axis=0, dtype=np.float64)
+    with np.errstate(over="ignore"):  # finite float64 channels may overflow their sum
+        sums = channels.sum(axis=0, dtype=np.float64)
     if renormalize:
-        # division also brings >1 values back into range (p <= sum always)
         zero = sums <= 0
         if zero.any():
             idx = where(np.argmax(zero), sums.shape)
             raise ChannelSumError(f"cannot renormalize zero-sum voxel {idx}")
-        out = channels / sums[np.newaxis].astype(channels.dtype)
-        return out.astype(channels.dtype, copy=False)
+        with np.errstate(over="ignore"):
+            unbounded = ~np.isfinite(sums.astype(channels.dtype))
+        idx = where(np.argmax(unbounded), sums.shape)
+        raise ChannelSumError(
+            f"cannot renormalize voxel {idx}: its channel sum {sums[idx]:.6g} is not finite in {channels.dtype}"
+        )
     if channels.size and channels.max() > 1.0:
         idx = where(np.argmax(channels > 1.0), channels.shape)
         raise ChannelSumError(
@@ -196,9 +222,7 @@ def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> np.nd
         )
     err = np.abs(sums - 1.0)
     worst = int(np.argmax(err))
-    if err.flat[worst] > CHANNEL_SUM_TOLERANCE:
-        raise ChannelSumError(
-            f"probability channels sum to {sums.flat[worst]:.6f} at voxel {where(worst, sums.shape)} "
-            f"(|sum - 1| = {err.flat[worst]:.2e} > {CHANNEL_SUM_TOLERANCE:g})"
-        )
-    return channels
+    raise ChannelSumError(
+        f"probability channels sum to {sums.flat[worst]:.6f} at voxel {where(worst, sums.shape)} "
+        f"(|sum - 1| = {err.flat[worst]:.2e} > {CHANNEL_SUM_TOLERANCE:g})"
+    )

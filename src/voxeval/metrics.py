@@ -22,9 +22,11 @@ chunk's four channels, region codes and rater labels once: a compare
 chain gives argmax and max together, Dice TP/FP and the calibration bin
 counts and correct-counts are integers, calibration confidence sums are
 added voxel by voxel in grid order, and the c_fg/c_bg and volume sums
-carry their open SUM_BLOCK-value block across chunks. So the results are
-bit-identical whatever the chunk size, and the working memory is bounded
-by the chunk and block sizes, not by the grid.
+carry their open SUM_BLOCK-value block across chunks: the volume sums as
+views of the channels, the c_fg/c_bg sums as the grid spans of its chunks,
+gathered once when the block closes. So the results are bit-identical
+whatever the chunk size, and the working memory is bounded by one chunk
+and one block, not by the grid.
 """
 
 import math
@@ -77,37 +79,87 @@ class CompensatedSum:
     Pieces are held until SUM_BLOCK values have arrived; the block is then
     summed in float64 by np.sum (pairwise), so each block total, and the
     result, is the one compensated_sum gives for the pieces' concatenation.
-    Block totals are combined exactly with math.fsum. ``size``, the number
-    of values that will be added if known, lets the last block be summed,
-    and its pieces freed, as soon as it is complete.
+    Block totals are combined exactly with math.fsum.
     """
 
-    def __init__(self, size: int | None = None):
+    def __init__(self):
         self._totals: list[float] = []
         self._open: list[np.ndarray] = []  # pieces of the open block
         self._n_open = 0
-        self._n_left = size
 
     def add(self, values: np.ndarray) -> None:
-        """Append a flat array. Pieces are kept, not copied, until their block
-        closes: a view must not change before then."""
+        """Append a flat array."""
         while values.size:
             piece = values[: SUM_BLOCK - self._n_open]
             self._open.append(piece)
             self._n_open += piece.size
             values = values[piece.size :]
-            if self._n_left is not None:
-                self._n_left -= piece.size
-            if self._n_open == SUM_BLOCK or self._n_left == 0:
+            if self._n_open == SUM_BLOCK:
                 self._totals.append(self._open_sum())
                 self._open, self._n_open = [], 0
 
     def _open_sum(self) -> float:
         block = self._open[0] if len(self._open) == 1 else np.concatenate(self._open)
-        return float(np.sum(block, dtype=np.float64))
+        return _block_total(block)
 
     def total(self) -> float:
         return math.fsum(self._totals + ([self._open_sum()] if self._n_open else []))
+
+
+def _block_total(block: np.ndarray) -> float:
+    return float(np.sum(block, dtype=np.float64))
+
+
+class _RegionSum:
+    """compensated_sum of one channel over one consensus region, fed chunk by chunk.
+
+    The open block is recorded as the grid spans of the chunks that hold its
+    values, not as the values. It is gathered into one block-sized array
+    only when it closes, full or holding the region's last voxel, and then
+    summed as CompensatedSum sums a block, so the total is CompensatedSum's
+    bit for bit while at most one block and one chunk are held.
+    """
+
+    def __init__(self, values: np.ndarray, view: RegionView):
+        self._values, self._view, self._code = values, view, view.code.reshape(-1)
+        self._totals: list[float] = []
+        self._spans: list[tuple[int, int, int]] = []  # (start, stop, selected values in the block before)
+        self._n_open = 0
+        self._n_left = view.count()
+
+    def add(self, start: int, stop: int, selected: np.ndarray) -> None:
+        """The grid chunk [start, stop), with ``selected`` its voxels in the region."""
+        n = self._n_left if stop == self._values.size else int(np.count_nonzero(selected))
+        if n == 0:
+            return
+        self._n_left -= n
+        used = 0
+        if self._n_open + n >= SUM_BLOCK or not self._n_left:  # a block closes in this chunk
+            gathered = self._values[start:stop][selected]
+            while used < n and (self._n_open + n - used >= SUM_BLOCK or not self._n_left):
+                take = min(SUM_BLOCK - self._n_open, n - used)
+                self._close(gathered[used : used + take])
+                used += take
+        if used < n:  # the rest joins the open block as a span
+            self._spans.append((start, stop, used))
+            self._n_open += n - used
+
+    def _close(self, tail: np.ndarray) -> None:
+        """Gather the open block, ending with ``tail``, and sum it."""
+        block = tail
+        if self._spans:
+            block = np.empty(self._n_open + tail.size, dtype=tail.dtype)
+            pos = 0
+            for start, stop, skip in self._spans:
+                piece = self._values[start:stop][self._view.selects(self._code[start:stop])][skip:]
+                block[pos : pos + piece.size] = piece
+                pos += piece.size
+            block[pos:] = tail
+        self._totals.append(_block_total(block))
+        self._spans, self._n_open = [], 0
+
+    def total(self) -> float:
+        return math.fsum(self._totals)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -212,8 +264,8 @@ class _PassStatistics:
 
     tp: dict[int, int]
     fp: dict[int, int]
-    fg_sum: dict[int, CompensatedSum]
-    bg_sum: dict[int, CompensatedSum]
+    fg_sum: dict[int, _RegionSum]
+    bg_sum: dict[int, _RegionSum]
     volume: dict[int, CompensatedSum]
     binning: dict[int | None, _Binning]
 
@@ -267,8 +319,8 @@ def _one_pass(
     stats = _PassStatistics(
         tp=dict.fromkeys(dice, 0),
         fp=dict.fromkeys(dice, 0),
-        fg_sum={c: CompensatedSum(regions[c].fg.count()) for c in confidence},
-        bg_sum={c: CompensatedSum(regions[c].bg.count()) for c in confidence},
+        fg_sum={c: _RegionSum(channels[c], regions[c].fg) for c in confidence},
+        bg_sum={c: _RegionSum(channels[c], regions[c].bg) for c in confidence},
         volume={c: CompensatedSum() for c in volume},
         binning={t: _Binning.empty(bins, len(raters)) for t in calibrate},
     )
@@ -287,8 +339,8 @@ def _one_pass(
                 stats.tp[c] += int(np.count_nonzero(predicted & fg))
                 stats.fp[c] += int(np.count_nonzero(predicted & bg))
             if c in stats.fg_sum:
-                stats.fg_sum[c].add(ch[c][fg])
-                stats.bg_sum[c].add(ch[c][bg])
+                stats.fg_sum[c].add(start, stop, fg)
+                stats.bg_sum[c].add(start, stop, bg)
         if stop - volume_fed >= SUM_BLOCK or stop == n_voxels:  # whole-block views: no copy at close
             for c, acc in stats.volume.items():
                 acc.add(channels[c, volume_fed:stop])
@@ -351,7 +403,7 @@ class ConfidenceScores:
     mean: float | None
 
 
-def _mean(acc: CompensatedSum, n: int) -> float | None:
+def _mean(acc: _RegionSum, n: int) -> float | None:
     return None if n == 0 else acc.total() / n
 
 

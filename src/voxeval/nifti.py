@@ -21,7 +21,8 @@ read, and nothing past the payload it declares is held. Each payload is
 decoded straight into its owned, native-order memory layout ([x,y,z] or
 [c,x,y,z]) through a reused slab of SLAB_PLANES z-planes, so a read holds
 the decoded array plus one slab, and a gzip file is inflated from disk
-INFLATE_BYTES at a time. A float-typed label map is checked and cast to
+INFLATE_BYTES at a time. A probability map is renormalized, if asked, in
+that same array. A float-typed label map is checked and cast to
 uint8 chunk by chunk.
 
 Writes run the same way backwards: each slab is transposed from the
@@ -54,8 +55,8 @@ from .grid import (
     GridGeometry,
     LabelVolume,
     ProbabilityVolume,
+    check_channel_sums,
     chunk_bounds,
-    validate_probability_sums,
 )
 
 HEADER_SIZE = 348
@@ -363,9 +364,11 @@ def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
 
 
 def _as_probability(arr: np.ndarray, geometry: GridGeometry, renormalize: bool) -> ProbabilityVolume:
+    """The probability map of a decoded 4D volume, checked, and renormalized in
+    place if asked: the reader owns ``arr`` until ProbabilityVolume freezes it."""
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float32)
-    arr = validate_probability_sums(arr, renormalize=renormalize)
+    check_channel_sums(arr, arr if renormalize else None)
     return ProbabilityVolume(geometry, arr)
 
 

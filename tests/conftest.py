@@ -339,13 +339,22 @@ def validate_probability_sums_reference(channels: np.ndarray, renormalize: bool 
     if channels.size and channels.min() < 0.0:
         idx = where(np.argmax(channels < 0.0), channels.shape)
         raise ChannelSumError(f"negative probability {channels[idx]:.6g} at channel/voxel {idx}")
-    sums = channels.sum(axis=0, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        sums = channels.sum(axis=0, dtype=np.float64)
     if renormalize:
         zero = sums <= 0
         if zero.any():
             idx = where(np.argmax(zero), sums.shape)
             raise ChannelSumError(f"cannot renormalize zero-sum voxel {idx}")
-        out = channels / sums[np.newaxis].astype(channels.dtype)
+        with np.errstate(over="ignore"):
+            divisors = sums.astype(channels.dtype)
+        unbounded = ~np.isfinite(divisors)  # dividing by an infinite sum would give silent zeros
+        if unbounded.any():
+            idx = where(np.argmax(unbounded), sums.shape)
+            raise ChannelSumError(
+                f"cannot renormalize voxel {idx}: its channel sum {sums[idx]:.6g} is not finite in {channels.dtype}"
+            )
+        out = channels / divisors[np.newaxis]
         return out.astype(channels.dtype, copy=False)
     if channels.size and channels.max() > 1.0:
         idx = where(np.argmax(channels > 1.0), channels.shape)

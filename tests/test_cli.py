@@ -393,6 +393,22 @@ def test_renormalize_zero_sum_voxel_is_exit_2_naming_file_and_voxel(phantom_dir,
     assert "zero-sum voxel (4, 5, 6)" in err
 
 
+def test_renormalize_overflowing_sum_is_exit_2_naming_file_and_voxel(phantom_dir, tmp_path, capsys):
+    from voxeval.nifti import read_volume, write_nifti
+    from voxeval.grid import ProbabilityVolume
+
+    victim = next((phantom_dir / "volumes").glob("case_001_pred_good*"))
+    v = read_volume(victim)
+    channels = v.channels.copy()
+    channels[:, 4, 5, 6] = 3e38  # finite float32 values whose sum is not: divided through, they would be zeros
+    write_nifti(ProbabilityVolume(v.geometry, channels), victim)
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--renormalize"]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert victim.name in err
+    assert "cannot renormalize voxel (4, 5, 6): its channel sum 1.2e+39 is not finite in float32" in err
+
+
 def test_rater_grid_mismatch_names_the_case_and_both_raters(phantom_dir, tmp_path, capsys):
     import numpy as np
 

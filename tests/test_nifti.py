@@ -610,11 +610,11 @@ def test_payload_cut_is_truncated_with_exact_byte_counts(tmp_path, compress, kep
         read_volume(p)
 
 
-def _read_peak(path) -> tuple[np.ndarray, int]:
+def _read_peak(path, renormalize=False) -> tuple[np.ndarray, int]:
     """The array read_volume decodes from ``path`` and the tracemalloc peak of the read."""
     tracemalloc.start()
     try:
-        volume = read_volume(path)
+        volume = read_volume(path, renormalize=renormalize)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -627,8 +627,14 @@ def _random_probability_nifti(rng, dims) -> bytes:
     return build_nifti(dims, 16, _file_payload(raw / raw.sum(axis=0), "<f4"), dim4=4, vox_offset=352.0)
 
 
-@pytest.mark.parametrize("kind", ["probability.nii", "probability.nii.gz", "label.nii"])
-def test_read_holds_at_most_the_decoded_array_and_one_slab(tmp_path, rng, kind):
+@pytest.mark.parametrize(
+    "kind, renormalize",
+    [("probability.nii", False), ("probability.nii.gz", False), ("label.nii", False),
+     ("probability.nii", True), ("probability.nii.gz", True)],
+    ids=["probability.nii", "probability.nii.gz", "label.nii",
+         "probability.nii-renormalize", "probability.nii.gz-renormalize"],
+)
+def test_read_holds_at_most_the_decoded_array_and_one_slab(tmp_path, rng, kind, renormalize):
     dims = (64, 64, 40)
     if kind.startswith("label"):
         blob = build_nifti(dims, 2, _file_payload(rng.integers(0, 4, size=dims), "u1"), vox_offset=352.0)
@@ -636,7 +642,7 @@ def test_read_holds_at_most_the_decoded_array_and_one_slab(tmp_path, rng, kind):
         blob = _random_probability_nifti(rng, dims)
     p = tmp_path / kind
     p.write_bytes(gzip.compress(blob, compresslevel=1, mtime=0) if kind.endswith(".gz") else blob)
-    arr, peak = _read_peak(p)
+    arr, peak = _read_peak(p, renormalize)  # renormalizing divides the decoded array in place
     slab = SLAB_PLANES * dims[0] * dims[1] * arr.itemsize
     assert peak <= arr.nbytes + slab + (1 << 20)
 

@@ -29,7 +29,7 @@ from test_cece import assert_same_bins, edge_case_prediction, perturbed_raters
 from voxeval import grid, metrics
 from voxeval.consensus import derive_regions
 from voxeval.errors import ChannelSumError
-from voxeval.grid import ORGAN_CLASSES, GridGeometry, validate_probability_sums
+from voxeval.grid import ORGAN_CLASSES, GridGeometry, LabelVolume, ProbabilityVolume, validate_probability_sums
 from voxeval.metrics import (
     CaseMetrics,
     CompensatedSum,
@@ -46,6 +46,7 @@ from voxeval.metrics import (
     predicted_volume,
     rater_volume_distribution,
 )
+from voxeval.nifti import _as_probability
 from voxeval.phantom import PhantomSpec, PredictionModel, Sphere, generate
 
 #: 1 and 7 voxels, the default, and None for "larger than the grid".
@@ -212,13 +213,12 @@ def test_calibration_entry_points_match_the_reference_at_any_chunk_size(
     block=st.integers(1, 64),
     cuts=st.lists(st.integers(0, 300), max_size=8),
     dtype=st.sampled_from([np.float32, np.float64]),
-    sized=st.booleans(),
 )
-def test_compensated_sum_carries_its_open_block_across_pieces(seed, n, block, cuts, dtype, sized):
+def test_compensated_sum_carries_its_open_block_across_pieces(seed, n, block, cuts, dtype):
     rng = np.random.default_rng(seed)
     values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 9, size=n)).astype(dtype)
     with mock.patch.object(metrics, "SUM_BLOCK", block):
-        acc = CompensatedSum(n if sized else None)
+        acc = CompensatedSum()
         for piece in np.split(values, sorted(min(c, n) for c in cuts)):
             acc.add(piece)
         expected = compensated_sum_reference(values, block)
@@ -252,6 +252,13 @@ def _alone(value):
     return put
 
 
+def _fill(fraction_of_max):
+    def put(voxel, channel):
+        voxel[:] = np.finfo(voxel.dtype).max * fraction_of_max
+
+    return put
+
+
 FAULTS = {
     "nan": _set(np.nan),
     "inf": _set(np.inf),
@@ -261,6 +268,7 @@ FAULTS = {
     "zero sum": _scale(0.0),
     "sum off": _scale(1.01),
     "sum within tolerance": _scale(1.0 + 5e-4),
+    "sum not finite in the dtype": _fill(0.5),
 }
 
 
@@ -270,6 +278,12 @@ def outcome(validate, channels, renormalize):
     except ChannelSumError as exc:
         return ("error", str(exc))
     return ("ok", out.dtype, out.shape, out.tobytes(), out is channels)
+
+
+def read_in_place(channels, renormalize):
+    """What a reader makes of ``channels`` as its own decoded array: checked, and renormalized in place."""
+    geometry = GridGeometry(channels.shape[1:], (1.0, 1.0, 1.0))
+    return _as_probability(channels.copy(), geometry, renormalize).channels
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -288,8 +302,12 @@ def test_validation_matches_the_whole_array_reference_with_faults_in_later_chunk
                 flat = channels.reshape(4, -1)
                 for voxel, channel, fault in zip((2, 30), channels_used, faults):
                     FAULTS[fault](flat[:, voxel], channel)
+                before = channels.tobytes()
                 expected = outcome(validate_probability_sums_reference, channels, renormalize)
                 assert outcome(validate_probability_sums, channels, renormalize) == expected, faults
+                assert channels.tobytes() == before  # the public function leaves its input as it was
+                # In place, a chunk divided before a later one fails must not change the diagnosis.
+                assert outcome(read_in_place, channels, renormalize)[:4] == expected[:4], faults
                 seen.add(expected[1] if expected[0] == "error" else "ok")
     assert "ok" in seen and len(seen) > 8  # the faults raise varied messages
 
@@ -327,9 +345,9 @@ def test_pass_and_validation_work_in_a_fraction_of_the_prediction():
     raters, pred = list(phantom.raters), phantom.prediction
     regions = derive_regions(raters)
     budget = pred.channels.nbytes / 4
-    # The pass holds one grid chunk and, per region sum, one open SUM_BLOCK-value
-    # block. Both are scaled below this 64^3 grid so that the grid is many chunks
-    # and many blocks long, as a CT grid is at the default sizes.
+    # The pass holds one grid chunk and one gathered SUM_BLOCK-value block. Both
+    # are scaled below this 64^3 grid so that the grid is many chunks and many
+    # blocks long, as a CT grid is at the default sizes.
     with chunked(1 << 12, pred.geometry.n_voxels, block=1 << 14):
         for config in (
             EvalConfig(),
@@ -340,3 +358,23 @@ def test_pass_and_validation_work_in_a_fraction_of_the_prediction():
         assert traced_peak(validate_probability_sums, pred.channels) < budget
         # renormalizing writes one new prediction, and needs little besides
         assert traced_peak(validate_probability_sums, pred.channels, renormalize=True) < pred.channels.nbytes + budget
+
+
+def test_region_sums_hold_one_block_at_the_default_block_size():
+    # Every class's background consensus spans several SUM_BLOCK-value blocks:
+    # region sums that held their open blocks' values would hold up to a block
+    # per region.
+    dims = (128, 128, 192)
+    geometry = GridGeometry(dims, (1.0, 1.0, 1.0))
+    pred = ProbabilityVolume(geometry, np.random.default_rng(0).random((4, *dims), dtype=np.float32))
+    labels = np.zeros(dims, dtype=np.uint8)
+    for c in ORGAN_CLASSES:
+        labels[..., 40 * c : 40 * c + 20] = c
+    raters = [LabelVolume(geometry, np.roll(labels, shift, axis=2)) for shift in (0, 1, 2)]
+    regions = derive_regions(raters)
+    assert all(regions[c].bg.count() > 2 * metrics.SUM_BLOCK for c in ORGAN_CLASSES)
+    block = metrics.SUM_BLOCK * pred.channels.itemsize
+    chunk = grid.CHUNK_VOXELS * 32  # a few float64 and int64 temporaries per voxel of a chunk
+    for config in (EvalConfig(), EvalConfig(argmax_mode=True, ece_per_class=True, ece_exclude_dissensus=True)):
+        peak = traced_peak(evaluate_case, pred, raters, config, regions=regions)
+        assert peak < block + chunk, (config, peak)
