@@ -12,8 +12,8 @@ chunk checks its float64 channel sums, their finiteness, the channel
 minimum and maximum and the worst |sum - 1|, and renormalization divides
 each chunk, once checked, into an output array: a fresh one for
 :func:`validate_probability_sums`, the decoded array itself for the
-readers. Only when a chunk fails is the whole array examined, to name the
-offending channel and voxel.
+readers. Only when a chunk fails is the whole array rescanned, again chunk
+by chunk, to name the offending channel and voxel.
 """
 
 import math
@@ -190,39 +190,60 @@ def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> None:
     the first fault in priority order (non-finite, negative, then zero sum
     and a sum not finite in the channel dtype when renormalizing, else a
     value above 1 and the worst |sum - 1|), naming its channel and voxel.
-    Every chunk that fails the chunked check holds one of these faults."""
+    Every chunk that fails the chunked check holds one of these faults.
+
+    Each rule rescans the array chunk by chunk, so no grid-sized temporary
+    is built: the value rules in ``[c, x, y, z]`` order, the sum rules in
+    voxel order."""
     from .errors import ChannelSumError
 
-    def where(flat_index, shape):
-        return tuple(int(i) for i in np.unravel_index(int(flat_index), shape))
+    values, voxels = channels.reshape(-1), channels.shape[1:]
+    flat = values.reshape(channels.shape[0], -1)
 
-    if not np.isfinite(channels).all():
-        idx = where(np.argmin(np.isfinite(channels)), channels.shape)
-        raise ChannelSumError(f"non-finite probability at channel/voxel {idx}")
-    if channels.size and channels.min() < 0.0:
-        idx = where(np.argmax(channels < 0.0), channels.shape)
+    def where(flat_index, shape):
+        return tuple(int(i) for i in np.unravel_index(flat_index, shape))
+
+    def sums(start, stop):
+        with np.errstate(over="ignore"):  # finite float64 channels may overflow their sum
+            return flat[:, start:stop].sum(axis=0, dtype=np.float64)
+
+    def first(hits, size):  # the first index in [0, size) where hits(start, stop) holds, or None
+        for start, stop in chunk_bounds(size):
+            chunk = hits(start, stop)
+            if chunk.any():
+                return start + int(np.argmax(chunk))
+        return None
+
+    i = first(lambda a, b: ~np.isfinite(values[a:b]), values.size)
+    if i is not None:
+        raise ChannelSumError(f"non-finite probability at channel/voxel {where(i, channels.shape)}")
+    i = first(lambda a, b: values[a:b] < 0.0, values.size)
+    if i is not None:
+        idx = where(i, channels.shape)
         raise ChannelSumError(f"negative probability {channels[idx]:.6g} at channel/voxel {idx}")
-    with np.errstate(over="ignore"):  # finite float64 channels may overflow their sum
-        sums = channels.sum(axis=0, dtype=np.float64)
     if renormalize:
-        zero = sums <= 0
-        if zero.any():
-            idx = where(np.argmax(zero), sums.shape)
-            raise ChannelSumError(f"cannot renormalize zero-sum voxel {idx}")
-        with np.errstate(over="ignore"):
-            unbounded = ~np.isfinite(sums.astype(channels.dtype))
-        idx = where(np.argmax(unbounded), sums.shape)
+        i = first(lambda a, b: sums(a, b) <= 0, flat.shape[1])
+        if i is not None:
+            raise ChannelSumError(f"cannot renormalize zero-sum voxel {where(i, voxels)}")
+        with np.errstate(over="ignore"):  # the failed chunk holds such a voxel
+            i = first(lambda a, b: ~np.isfinite(sums(a, b).astype(channels.dtype)), flat.shape[1]) or 0
         raise ChannelSumError(
-            f"cannot renormalize voxel {idx}: its channel sum {sums[idx]:.6g} is not finite in {channels.dtype}"
+            f"cannot renormalize voxel {where(i, voxels)}: its channel sum {sums(i, i + 1)[0]:.6g} "
+            f"is not finite in {channels.dtype}"
         )
-    if channels.size and channels.max() > 1.0:
-        idx = where(np.argmax(channels > 1.0), channels.shape)
-        raise ChannelSumError(
-            f"probability {channels[idx]:.6g} outside [0, 1] at channel/voxel {idx}"
-        )
-    err = np.abs(sums - 1.0)
-    worst = int(np.argmax(err))
+    i = first(lambda a, b: values[a:b] > 1.0, values.size)
+    if i is not None:
+        idx = where(i, channels.shape)
+        raise ChannelSumError(f"probability {channels[idx]:.6g} outside [0, 1] at channel/voxel {idx}")
+    worst, worst_err = 0, -1.0
+    for start, stop in chunk_bounds(flat.shape[1]):
+        err = sums(start, stop)
+        err -= 1.0
+        np.abs(err, out=err)
+        i = int(np.argmax(err))
+        if err[i] > worst_err:  # strict: the first of equal errors wins, as in np.argmax
+            worst, worst_err = start + i, float(err[i])
     raise ChannelSumError(
-        f"probability channels sum to {sums.flat[worst]:.6f} at voxel {where(worst, sums.shape)} "
-        f"(|sum - 1| = {err.flat[worst]:.2e} > {CHANNEL_SUM_TOLERANCE:g})"
+        f"probability channels sum to {sums(worst, worst + 1)[0]:.6f} at voxel {where(worst, voxels)} "
+        f"(|sum - 1| = {worst_err:.2e} > {CHANNEL_SUM_TOLERANCE:g})"
     )

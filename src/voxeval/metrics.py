@@ -22,11 +22,12 @@ chunk's four channels, region codes and rater labels once: a compare
 chain gives argmax and max together, Dice TP/FP and the calibration bin
 counts and correct-counts are integers, calibration confidence sums are
 added voxel by voxel in grid order, and the c_fg/c_bg and volume sums
-carry their open SUM_BLOCK-value block across chunks: the volume sums as
-views of the channels, the c_fg/c_bg sums as the grid spans of its chunks,
-gathered once when the block closes. So the results are bit-identical
-whatever the chunk size, and the working memory is bounded by one chunk
-and one block, not by the grid.
+carry their open SUM_BLOCK-value block across chunks: a volume sum adds
+each block, a view of its channel, once the chunks have passed it; a
+c_fg/c_bg sum records the grid spans of its chunks and gathers them once
+when the block closes. So the results are bit-identical whatever the
+chunk size, and the working memory is bounded by one chunk and one block,
+not by the grid.
 """
 
 import math
@@ -73,39 +74,6 @@ class EvalConfig:
             raise ParameterError(f"classes must be a non-empty subset of {ORGAN_CLASSES}")
 
 
-class CompensatedSum:
-    """compensated_sum fed in pieces of any size.
-
-    Pieces are held until SUM_BLOCK values have arrived; the block is then
-    summed in float64 by np.sum (pairwise), so each block total, and the
-    result, is the one compensated_sum gives for the pieces' concatenation.
-    Block totals are combined exactly with math.fsum.
-    """
-
-    def __init__(self):
-        self._totals: list[float] = []
-        self._open: list[np.ndarray] = []  # pieces of the open block
-        self._n_open = 0
-
-    def add(self, values: np.ndarray) -> None:
-        """Append a flat array."""
-        while values.size:
-            piece = values[: SUM_BLOCK - self._n_open]
-            self._open.append(piece)
-            self._n_open += piece.size
-            values = values[piece.size :]
-            if self._n_open == SUM_BLOCK:
-                self._totals.append(self._open_sum())
-                self._open, self._n_open = [], 0
-
-    def _open_sum(self) -> float:
-        block = self._open[0] if len(self._open) == 1 else np.concatenate(self._open)
-        return _block_total(block)
-
-    def total(self) -> float:
-        return math.fsum(self._totals + ([self._open_sum()] if self._n_open else []))
-
-
 def _block_total(block: np.ndarray) -> float:
     return float(np.sum(block, dtype=np.float64))
 
@@ -116,8 +84,9 @@ class _RegionSum:
     The open block is recorded as the grid spans of the chunks that hold its
     values, not as the values. It is gathered into one block-sized array
     only when it closes, full or holding the region's last voxel, and then
-    summed as CompensatedSum sums a block, so the total is CompensatedSum's
-    bit for bit while at most one block and one chunk are held.
+    summed as compensated_sum sums a block, so the total equals
+    compensated_sum of the region's values bit for bit while at most one
+    block and one chunk are held.
     """
 
     def __init__(self, values: np.ndarray, view: RegionView):
@@ -169,9 +138,8 @@ def compensated_sum(values: np.ndarray) -> float:
     reduction) and the block totals combined exactly with math.fsum, so
     1e8-voxel volumes do not drift.
     """
-    acc = CompensatedSum()
-    acc.add(np.asarray(values).reshape(-1))
-    return acc.total()
+    flat = np.asarray(values).reshape(-1)
+    return math.fsum(_block_total(flat[i : i + SUM_BLOCK]) for i in range(0, flat.size, SUM_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -266,7 +234,7 @@ class _PassStatistics:
     fp: dict[int, int]
     fg_sum: dict[int, _RegionSum]
     bg_sum: dict[int, _RegionSum]
-    volume: dict[int, CompensatedSum]
+    volume: dict[int, list[float]]  # compensated_sum's block totals
     binning: dict[int | None, _Binning]
 
 
@@ -321,7 +289,7 @@ def _one_pass(
         fp=dict.fromkeys(dice, 0),
         fg_sum={c: _RegionSum(channels[c], regions[c].fg) for c in confidence},
         bg_sum={c: _RegionSum(channels[c], regions[c].bg) for c in confidence},
-        volume={c: CompensatedSum() for c in volume},
+        volume={c: [] for c in volume},
         binning={t: _Binning.empty(bins, len(raters)) for t in calibrate},
     )
     region_classes = {c: regions[c] for c in (*dice, *confidence)}
@@ -341,10 +309,11 @@ def _one_pass(
             if c in stats.fg_sum:
                 stats.fg_sum[c].add(start, stop, fg)
                 stats.bg_sum[c].add(start, stop, bg)
-        if stop - volume_fed >= SUM_BLOCK or stop == n_voxels:  # whole-block views: no copy at close
-            for c, acc in stats.volume.items():
-                acc.add(channels[c, volume_fed:stop])
-            volume_fed = stop
+        while stop - volume_fed >= SUM_BLOCK or volume_fed < stop == n_voxels:  # blocks the chunks have passed
+            block = slice(volume_fed, min(volume_fed + SUM_BLOCK, stop))
+            for c, totals in stats.volume.items():
+                totals.append(_block_total(channels[c, block]))  # a view: no copy
+            volume_fed = block.stop
         if include is None:
             sel = None
         elif isinstance(include, RegionView):
@@ -621,7 +590,7 @@ def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMet
         empty_bg[c] = regions[c].bg.count() == 0
         mu, sigma, _ = _volume_distribution(regions.rater_counts[c], vv, config.sigma_convention)
         sigma_zero[c] = sigma == 0.0
-        predicted = pred.geometry.voxel_volume_cm3 * stats.volume[c].total()
+        predicted = pred.geometry.voxel_volume_cm3 * math.fsum(stats.volume[c])
         crps[c] = crps_gaussian(VolumeDistribution(mu, sigma, predicted))
 
     values = {t: [b.value for b in stats.binning[t].results(config.eq2_literal)] for t in targets}

@@ -17,7 +17,12 @@ Prediction models:
                      (the removed mass spread over the other channels),
                      i.e. positive offsets bleed confidence away from
                      the winner while keeping it the argmax for
-                     delta < 0.75.
+                     delta < 0.75; delta <= 0 leaves the one-hot
+                     prediction unchanged, as a one-hot winner cannot
+                     gain mass.
+
+Each model is built from the unanimity label map alone, in place in its
+float32 output (see ``_prediction``).
 """
 
 import json
@@ -125,54 +130,47 @@ def _distance_sq(geometry: GridGeometry, center) -> np.ndarray:
 
 
 def _rater_labels(spec: PhantomSpec) -> list[np.ndarray]:
-    dist_sq = {c: _distance_sq(spec.geometry, s.center) for c, s in spec.spheres.items()}
-    out = []
-    for delta in spec.rater_deltas:
-        labels = np.zeros(spec.geometry.dims, dtype=np.uint8)
-        for c, s in spec.spheres.items():
-            labels[dist_sq[c] <= (s.radius + delta) ** 2] = c
-        out.append(labels)
+    # Spheres never overlap, so filling them one at a time holds one distance grid.
+    out = [np.zeros(spec.geometry.dims, dtype=np.uint8) for _ in spec.rater_deltas]
+    for c, s in spec.spheres.items():
+        dist_sq = _distance_sq(spec.geometry, s.center)
+        for labels, delta in zip(out, spec.rater_deltas):
+            labels[dist_sq <= (s.radius + delta) ** 2] = c
+        del dist_sq  # before the next sphere's grid is built
     return out
 
 
-def _unanimity_one_hot(labels: list[np.ndarray]) -> np.ndarray:
-    agree = np.ones(labels[0].shape, dtype=bool)
+def _unanimous_labels(labels: list[np.ndarray]) -> np.ndarray:
+    """The raters' common label per voxel, background where they disagree."""
+    unanimous = labels[0].copy()
     for l in labels[1:]:
-        agree &= l == labels[0]
-    unanimous = np.where(agree, labels[0], 0).astype(np.uint8)
-    one_hot = np.zeros((N_CHANNELS, *labels[0].shape), dtype=np.float32)
+        unanimous[l != labels[0]] = 0
+    return unanimous
+
+
+def _prediction(unanimous: np.ndarray, model: PredictionModel) -> np.ndarray:
+    """The model's float32 ``[c, x, y, z]`` prediction from the unanimity label map."""
+    # Before any blur a voxel's prediction depends only on its label: column
+    # k of ``table`` is the prediction for label k. Positive delta moves delta
+    # of the winner's mass to the other channels; a one-hot winner cannot gain mass.
+    table = np.eye(N_CHANNELS, dtype=np.float32)
+    if model.kind == "miscalibrated" and model.delta > 0:
+        shifted = np.where(table == 1, 1.0 - model.delta, model.delta / (N_CHANNELS - 1))
+        table = (shifted / shifted.sum(axis=0)).astype(np.float32)
+    out = np.empty((N_CHANNELS, *unanimous.shape), dtype=np.float32)
     for c in range(N_CHANNELS):
-        one_hot[c] = unanimous == c
-    return one_hot
-
-
-def _apply_model(one_hot: np.ndarray, model: PredictionModel) -> np.ndarray:
-    if model.kind == "perfect":
-        return one_hot
+        out[c] = table[c][unanimous]
     if model.kind == "blurred":
         from scipy.ndimage import gaussian_filter  # imported here so that `import voxeval` needs numpy only
 
-        blurred = np.stack([gaussian_filter(ch, model.sigma) for ch in one_hot])
-        sums = blurred.sum(axis=0, dtype=np.float64)
-        return np.clip(blurred / sums[np.newaxis], 0.0, 1.0).astype(np.float32)
-    # miscalibrated: move |delta| of probability mass between the winning
-    # channel and the rest (positive delta drains the winner)
-    shifted = one_hot.astype(np.float64)
-    winner = np.argmax(shifted, axis=0)[np.newaxis]
-    w = np.take_along_axis(shifted, winner, axis=0)
-    is_winner = np.zeros(shifted.shape, dtype=bool)
-    np.put_along_axis(is_winner, winner, True, axis=0)
-    if model.delta >= 0:
-        take = np.minimum(w, model.delta)
-        shifted = np.where(is_winner, shifted - take, shifted + take / (N_CHANNELS - 1))
-    else:
-        others = 1.0 - w
-        give = np.minimum(-model.delta, others)
-        scale = np.divide(others - give, others, out=np.ones_like(others), where=others > 0)
-        shifted = np.where(is_winner, shifted + give, shifted * scale)
-    shifted = np.clip(shifted, 0.0, 1.0)
-    sums = shifted.sum(axis=0)
-    return (shifted / sums[np.newaxis]).astype(np.float32)
+        for c in range(N_CHANNELS):  # in place, as gaussian_filter itself runs every pass after the first
+            gaussian_filter(out[c], model.sigma, output=out[c])
+        sums = out[0].astype(np.float64)
+        for c in range(1, N_CHANNELS):
+            sums += out[c]
+        for c in range(N_CHANNELS):  # a non-negative channel over a sum that holds it: already in [0, 1]
+            np.divide(out[c], sums, out=out[c], casting="same_kind")
+    return out
 
 
 def _scan_truth(spec: PhantomSpec, labels: list[np.ndarray]) -> PhantomTruth:
@@ -196,12 +194,10 @@ def _scan_truth(spec: PhantomSpec, labels: list[np.ndarray]) -> PhantomTruth:
 def generate(spec: PhantomSpec) -> Phantom:
     """Deterministic phantom: rater label maps, a prediction, and truth."""
     labels = _rater_labels(spec)
-    one_hot = _unanimity_one_hot(labels)
-    channels = _apply_model(one_hot, spec.prediction)
     return Phantom(
         spec=spec,
         raters=tuple(LabelVolume(spec.geometry, l) for l in labels),
-        prediction=ProbabilityVolume(spec.geometry, channels),
+        prediction=ProbabilityVolume(spec.geometry, _prediction(_unanimous_labels(labels), spec.prediction)),
         truth=_scan_truth(spec, labels),
     )
 
@@ -317,7 +313,7 @@ def write_dataset(doc: dict, out_dir) -> Path:
         case_spec = _case_spec(spec, i)
         case_id = f"case_{i + 1:03d}"
         labels = _rater_labels(case_spec)
-        one_hot = _unanimity_one_hot(labels)
+        unanimous = _unanimous_labels(labels)
         truth = _scan_truth(case_spec, labels)
 
         rater_paths = []
@@ -327,9 +323,8 @@ def write_dataset(doc: dict, out_dir) -> Path:
             rater_paths.append(str(p.relative_to(out)))
         pred_paths = {}
         for name, model in sorted(spec["algorithms"].items()):
-            channels = _apply_model(one_hot, model)
             p = volumes / f"{case_id}_pred_{name}.nii.gz"
-            write_nifti(ProbabilityVolume(case_spec.geometry, channels), p)
+            write_nifti(ProbabilityVolume(case_spec.geometry, _prediction(unanimous, model)), p)
             pred_paths[name] = str(p.relative_to(out))
 
         manifest_cases.append(

@@ -17,9 +17,10 @@ from scipy.special import ndtr
 
 from voxeval.consensus import ConsensusRegions
 from voxeval.errors import ChannelSumError, ParameterError
-from voxeval.grid import CHANNEL_SUM_TOLERANCE, GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
+from voxeval.grid import CHANNEL_SUM_TOLERANCE, N_CHANNELS, GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
 from voxeval.metrics import METRIC_NAMES, CalibrationBins, CaseMetrics
 from voxeval.nifti import DESK_DTYPES, DTYPE_CODES
+from voxeval.phantom import PredictionModel
 from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
 from voxeval.stability import BootstrapSummary, RankStats, _metric_matrix
 
@@ -258,6 +259,49 @@ def compensated_sum_reference(values, block=1 << 20) -> float:
     return math.fsum(
         float(np.sum(flat[i : i + block], dtype=np.float64)) for i in range(0, flat.size, block)
     )
+
+
+def unanimity_one_hot_reference(labels: list[np.ndarray]) -> np.ndarray:
+    """Float32 one-hot grid of the raters' unanimity map (background where they disagree)."""
+    agree = np.ones(labels[0].shape, dtype=bool)
+    for l in labels[1:]:
+        agree &= l == labels[0]
+    unanimous = np.where(agree, labels[0], 0).astype(np.uint8)
+    one_hot = np.zeros((N_CHANNELS, *labels[0].shape), dtype=np.float32)
+    for c in range(N_CHANNELS):
+        one_hot[c] = unanimous == c
+    return one_hot
+
+
+def apply_model_reference(one_hot: np.ndarray, model: PredictionModel) -> np.ndarray:
+    """A prediction model applied to any probability grid, voxel by voxel: the
+    phantom's predictions from the unanimity label map must have the same bytes."""
+    if model.kind == "perfect":
+        return one_hot
+    if model.kind == "blurred":
+        from scipy.ndimage import gaussian_filter
+
+        blurred = np.stack([gaussian_filter(ch, model.sigma) for ch in one_hot])
+        sums = blurred.sum(axis=0, dtype=np.float64)
+        return np.clip(blurred / sums[np.newaxis], 0.0, 1.0).astype(np.float32)
+    # miscalibrated: move |delta| of probability mass between the winning
+    # channel and the rest (positive delta drains the winner)
+    shifted = one_hot.astype(np.float64)
+    winner = np.argmax(shifted, axis=0)[np.newaxis]
+    w = np.take_along_axis(shifted, winner, axis=0)
+    is_winner = np.zeros(shifted.shape, dtype=bool)
+    np.put_along_axis(is_winner, winner, True, axis=0)
+    if model.delta >= 0:
+        take = np.minimum(w, model.delta)
+        shifted = np.where(is_winner, shifted - take, shifted + take / (N_CHANNELS - 1))
+    else:
+        others = 1.0 - w
+        give = np.minimum(-model.delta, others)
+        scale = np.divide(others - give, others, out=np.ones_like(others), where=others > 0)
+        shifted = np.where(is_winner, shifted + give, shifted * scale)
+    shifted = np.clip(shifted, 0.0, 1.0)
+    sums = shifted.sum(axis=0)
+    return (shifted / sums[np.newaxis]).astype(np.float32)
 
 
 def decode_payload_reference(payload: bytes, dtype, dims, channels: int, scale=None) -> np.ndarray:

@@ -32,7 +32,6 @@ from voxeval.errors import ChannelSumError
 from voxeval.grid import ORGAN_CLASSES, GridGeometry, LabelVolume, ProbabilityVolume, validate_probability_sums
 from voxeval.metrics import (
     CaseMetrics,
-    CompensatedSum,
     EvalConfig,
     VolumeDistribution,
     cece,
@@ -211,20 +210,13 @@ def test_calibration_entry_points_match_the_reference_at_any_chunk_size(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 300),
     block=st.integers(1, 64),
-    cuts=st.lists(st.integers(0, 300), max_size=8),
     dtype=st.sampled_from([np.float32, np.float64]),
 )
-def test_compensated_sum_carries_its_open_block_across_pieces(seed, n, block, cuts, dtype):
+def test_compensated_sum_carries_its_open_block_across_pieces(seed, n, block, dtype):
     rng = np.random.default_rng(seed)
     values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 9, size=n)).astype(dtype)
     with mock.patch.object(metrics, "SUM_BLOCK", block):
-        acc = CompensatedSum()
-        for piece in np.split(values, sorted(min(c, n) for c in cuts)):
-            acc.add(piece)
-        expected = compensated_sum_reference(values, block)
-        assert acc.total() == expected
-        assert acc.total() == expected  # reading the total changes nothing
-        assert compensated_sum(values) == expected
+        assert compensated_sum(values) == compensated_sum_reference(values, block)
 
 
 # --- channel-sum validation ------------------------------------------------
@@ -378,3 +370,26 @@ def test_region_sums_hold_one_block_at_the_default_block_size():
     for config in (EvalConfig(), EvalConfig(argmax_mode=True, ece_per_class=True, ece_exclude_dissensus=True)):
         peak = traced_peak(evaluate_case, pred, raters, config, regions=regions)
         assert peak < block + chunk, (config, peak)
+
+
+@pytest.mark.parametrize(
+    "fault, renormalize",
+    [("nan", False), ("negative", False), ("above one", False), ("sum off", False),
+     ("zero sum", True), ("sum not finite in the dtype", True)],
+)
+def test_diagnosis_of_a_fault_in_the_last_voxel_holds_a_few_chunks(fault, renormalize):
+    # A 16 MiB map, scanned to its end by every rule before the fault's.
+    channels = np.full((4, 128, 128, 64), 0.25, dtype=np.float32)
+    FAULTS[fault](channels[:, -1, -1, -1], 3)
+    with pytest.raises(ChannelSumError) as expected:
+        validate_probability_sums_reference(channels, renormalize)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChannelSumError) as raised:
+            validate_probability_sums(channels, renormalize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == str(expected.value)
+    output = channels.nbytes if renormalize else 0  # the fresh renormalized array
+    assert peak - output < 4 * grid.CHUNK_VOXELS * 8  # a few chunk-sized float64 arrays

@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import region_counts
+from conftest import apply_model_reference, region_counts, unanimity_one_hot_reference
 from voxeval.consensus import derive_regions
 from voxeval.errors import ValidationError
 from voxeval.grid import GridGeometry, validate_probability_sums
@@ -113,6 +114,45 @@ def test_miscalibration_keeps_the_winner():
     assert np.array_equal(
         np.argmax(ph.prediction.channels, axis=0), np.argmax(perfect.prediction.channels, axis=0)
     )
+
+
+def spec_anisotropic(prediction):
+    """A CT-like slab: long in-plane axes, few thick slices."""
+    return PhantomSpec(
+        geometry=GridGeometry((40, 34, 12), (0.8, 0.8, 2.5)),
+        spheres={1: Sphere((10.0, 9.0, 6.0), 4.0), 2: Sphere((28.0, 10.0, 5.0), 3.0), 3: Sphere((20.0, 24.0, 6.0), 4.0)},
+        rater_deltas=(-1, 0, 1, 1),
+        prediction=prediction,
+    )
+
+
+MODELS = [
+    PredictionModel("perfect"),
+    *(PredictionModel("miscalibrated", delta=d) for d in (-0.3, 0.0, 0.05, 0.2, 1 / 3, 0.75, 0.9)),
+    *(PredictionModel("blurred", sigma=s) for s in (0.5, 1.5)),
+]
+
+
+@pytest.mark.parametrize("make_spec", [spec_48, spec_anisotropic])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.kind}-{m.sigma or m.delta:g}")
+def test_prediction_matches_the_one_hot_reference(make_spec, model):
+    spec = make_spec(prediction=model)
+    ph = generate(spec)
+    expected = apply_model_reference(unanimity_one_hot_reference([r.voxels for r in ph.raters]), model)
+    assert ph.prediction.channels.dtype == expected.dtype == np.float32
+    assert ph.prediction.channels.tobytes() == expected.tobytes()
+
+
+def test_blurred_generation_holds_about_two_predictions():
+    # The prediction, its float64 channel sums and the label maps: 1.8 predictions.
+    spec = spec_48(prediction=PredictionModel("blurred", sigma=1.5))
+    tracemalloc.start()
+    try:
+        ph = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * ph.prediction.channels.nbytes
 
 
 def test_spec_validation():
