@@ -131,11 +131,12 @@ def _case_metrics(entry, config: RunConfig, eval_cfg: EvalConfig) -> list[CaseMe
             regions = derive_regions(raters, classes=eval_cfg.classes)
         except MetricError as exc:
             raise type(exc)(f"{where}: {exc}") from exc
+        del raters  # the regions hold the labels, packed: drop the label maps before any prediction is decoded
         out = []
         for name in sorted(entry.algorithm_predictions):
             where, path = f"case {entry.case_id!r}, algorithm {name!r}", entry.algorithm_predictions[name]
             pred = _load_probability(path, config.renormalize)
-            out.append(evaluate_case(pred, raters, eval_cfg, entry.case_id, name, regions))
+            out.append(evaluate_case(pred, (), eval_cfg, entry.case_id, name, regions))
             del pred  # free this prediction before the next one is decoded
         return out
     except MemoryError as exc:

@@ -15,6 +15,11 @@ The partition is stored as one uint8 region code per voxel. Bits
 2(c-1) and 2(c-1)+1 hold the state of class c (0 background consensus,
 1 foreground consensus, 2 dissensus) and bit 6 marks voxels whose full
 multi-class label is unanimous.
+
+The raters' labels are kept beside it, packed at two bits a voxel
+(:class:`PackedLabels`): the metric pass scores each rater's label
+against the prediction, so a case holds one region-code byte and
+ceil(R/4) label bytes per voxel once its R label maps are dropped.
 """
 
 from dataclasses import dataclass, field
@@ -51,6 +56,46 @@ class RegionView:
 
 
 @dataclass(frozen=True)
+class PackedLabels:
+    """R label maps of class ids 0..3 at two bits a voxel.
+
+    ``planes`` holds ceil(R/4) flat uint8 planes in the logical [x, y, z]
+    C-order; rater r sits in bits 2(r mod 4) and 2(r mod 4) + 1 of plane
+    r // 4.
+    """
+
+    planes: np.ndarray = field(repr=False)
+    n_raters: int
+
+    def rater(self, r: int, start: int, stop: int) -> np.ndarray:
+        """Rater r's labels at the flat voxels [start, stop)."""
+        labels = np.right_shift(self.planes[r // 4, start:stop], 2 * (r % 4))
+        return np.bitwise_and(labels, 3, out=labels)
+
+
+def pack_labels(raters: list[LabelVolume], scratch: np.ndarray | None = None) -> PackedLabels:
+    """The raters' label maps packed at two bits a voxel (see PackedLabels).
+
+    Each rater is shifted into ``scratch`` (a flat uint8 grid, allocated
+    if not given) and ORed into its plane in place, so packing makes no
+    intp or wide temporary.
+    """
+    n_voxels = raters[0].voxels.size if raters else 0
+    planes = np.empty((-(-len(raters) // 4), n_voxels), dtype=np.uint8)
+    for r, rater in enumerate(raters):
+        plane, shift, voxels = planes[r // 4], 2 * (r % 4), rater.voxels.reshape(-1)
+        if shift == 0:
+            np.copyto(plane, voxels, casting="unsafe")  # class ids 0..3 fit any integer dtype's cast
+        else:
+            if scratch is None:
+                scratch = np.empty(n_voxels, dtype=np.uint8)
+            np.left_shift(voxels, shift, out=scratch, casting="unsafe")
+            plane |= scratch
+    planes.flags.writeable = False
+    return PackedLabels(planes, len(raters))
+
+
+@dataclass(frozen=True)
 class ClassRegions:
     fg: RegionView
     bg: RegionView
@@ -65,6 +110,8 @@ class ConsensusRegions:
     unanimous: RegionView
     #: class id -> each rater's voxel count of that class, in rater order
     rater_counts: dict[int, tuple[int, ...]]
+    #: the raters' label maps, in rater order
+    labels: PackedLabels
 
     def __getitem__(self, class_id: int) -> ClassRegions:
         return self.per_class[class_id]
@@ -76,7 +123,7 @@ class ConsensusRegions:
 
 
 def derive_regions(raters: list[LabelVolume], classes=ORGAN_CLASSES) -> ConsensusRegions:
-    """Tri-partition the grid per class from R >= 2 rater label volumes."""
+    """Tri-partition the grid per class from R >= 2 rater label volumes, and pack their labels."""
     if len(raters) < 2:
         raise ParameterError(f"need at least 2 raters, got {len(raters)}")
     geometry = raters[0].geometry
@@ -110,4 +157,5 @@ def derive_regions(raters: list[LabelVolume], classes=ORGAN_CLASSES) -> Consensu
         )
         rater_counts[c] = tuple(int(n) for n in counts)
     code.flags.writeable = False  # shared by every view and every algorithm of the case
-    return ConsensusRegions(geometry, per_class, unanimous, rater_counts)
+    labels = pack_labels(raters, scratch=m.view(np.uint8).reshape(-1))
+    return ConsensusRegions(geometry, per_class, unanimous, rater_counts, labels)

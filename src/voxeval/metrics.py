@@ -18,7 +18,10 @@ the three organs:
 Every family is a small function of additive statistics gathered in one
 pass over the prediction (``_one_pass``). The pass walks the flat logical
 ``[x, y, z]`` C-order in ``grid.CHUNK_VOXELS`` chunks and reads each
-chunk's four channels, region codes and rater labels once: a compare
+chunk's four channels, region codes and rater labels once. The raters
+come packed at two bits a voxel (``consensus.PackedLabels``): with shared
+regions, ``evaluate_case`` scores them from ``regions.labels`` and needs
+no label map, and the calibration entry points pack their own. A compare
 chain gives argmax and max together, Dice TP/FP and the calibration bin
 counts and correct-counts are integers, calibration confidence sums are
 added voxel by voxel in grid order, and the c_fg/c_bg and volume sums
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ConsensusRegions, RegionView, derive_regions
+from .consensus import ConsensusRegions, PackedLabels, RegionView, derive_regions, pack_labels
 from .errors import ParameterError, VoxevalError
 from .grid import N_CHANNELS, ORGAN_CLASSES, LabelVolume, ProbabilityVolume, chunk_bounds, require_same_grid
 
@@ -252,7 +255,7 @@ def _argmax_max(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _one_pass(
     pred: ProbabilityVolume,
     regions: ConsensusRegions | None = None,
-    raters: list[LabelVolume] = (),
+    labels: PackedLabels | None = None,
     *,
     dice=(),
     threshold: float = 0.5,
@@ -270,7 +273,7 @@ def _one_pass(
     * ``confidence`` class ids: the class probability summed over each
       consensus region;
     * ``volume`` class ids: the class probability summed over the grid;
-    * ``calibrate`` targets, binned against every rater: ``None`` is
+    * ``calibrate`` targets, binned against every rater of ``labels``: ``None`` is
       multiclass (confidence = max softmax probability, predicted = argmax
       class), a class id is one-vs-rest (confidence = max(p, 1 - p),
       predicted = p >= 0.5). A voxel is correct when predicted matches the
@@ -279,7 +282,7 @@ def _one_pass(
     """
     channels = pred.channels.reshape(N_CHANNELS, -1)
     code = None if regions is None else regions.code.reshape(-1)
-    labels = [r.voxels.reshape(-1) for r in raters]
+    n_raters = 0 if labels is None else labels.n_raters
     if include is not None and not isinstance(include, RegionView):
         include = np.asarray(include, dtype=bool).reshape(-1)
         if include.size != channels.shape[1]:
@@ -290,7 +293,7 @@ def _one_pass(
         fg_sum={c: _RegionSum(channels[c], regions[c].fg) for c in confidence},
         bg_sum={c: _RegionSum(channels[c], regions[c].bg) for c in confidence},
         volume={c: [] for c in volume},
-        binning={t: _Binning.empty(bins, len(raters)) for t in calibrate},
+        binning={t: _Binning.empty(bins, n_raters) for t in calibrate},
     )
     region_classes = {c: regions[c] for c in (*dice, *confidence)}
     need_argmax = None in stats.binning or (argmax_mode and bool(dice))
@@ -320,7 +323,7 @@ def _one_pass(
             sel = include.selects(codes)
         else:
             sel = include[start:stop]
-        truths = [lab[start:stop] for lab in labels]
+        truths = [labels.rater(r, start, stop) for r in range(n_raters)]
         for target, binning in stats.binning.items():
             if target is None:
                 binning.add(best.astype(np.float64), arg, truths, sel)
@@ -399,7 +402,7 @@ def _calibrate(pred, raters, class_id, bins, literal, include) -> list[Calibrati
         raise ParameterError(f"bin count must be >= 2, got {bins}")
     for r in raters:
         require_same_grid(pred.geometry, r.geometry, "prediction vs rater")
-    stats = _one_pass(pred, raters=raters, calibrate=(class_id,), bins=bins, include=include)
+    stats = _one_pass(pred, labels=pack_labels(raters), calibrate=(class_id,), bins=bins, include=include)
     return stats.binning[class_id].results(literal)
 
 
@@ -551,7 +554,10 @@ def evaluate_case(
 
     ``regions`` are the raters' ``derive_regions(raters, config.classes)``;
     a case with several algorithms derives them once and passes them in.
-    Errors are re-raised with (case, algorithm) context attached.
+    Given regions, every rater statistic comes from them (the packed labels
+    and the rater counts), so ``raters`` are only checked against the grid
+    and may be empty. Errors are re-raised with (case, algorithm) context
+    attached.
     """
     try:
         return _evaluate_case(pred, raters, config, case_id, algorithm, regions)
@@ -571,7 +577,7 @@ def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMet
     stats = _one_pass(
         pred,
         regions,
-        raters,
+        regions.labels,
         dice=config.classes,
         threshold=config.threshold,
         argmax_mode=config.argmax_mode,

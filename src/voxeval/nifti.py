@@ -19,11 +19,12 @@ data the channel axis is slowest (one full 3D block per channel).
 Reads are bounded. The header is validated before any payload byte is
 read, and nothing past the payload it declares is held. Each payload is
 decoded straight into its owned, native-order memory layout ([x,y,z] or
-[c,x,y,z]) through a reused slab of SLAB_PLANES z-planes, so a read holds
-the decoded array plus one slab, and a gzip file is inflated from disk
-INFLATE_BYTES at a time. A probability map is renormalized, if asked, in
-that same array. A float-typed label map is checked and cast to
-uint8 chunk by chunk.
+[c,x,y,z]) through a reused slab of at most SLAB_PLANES z-planes and at
+most SLAB_BYTES (8 MiB, so 8 planes of a 512x512 float32 channel), so a
+read holds the decoded array plus one slab, and a gzip file is inflated
+from disk INFLATE_BYTES at a time. An integer probability map is decoded
+straight to float32, and renormalized, if asked, in that same array. A
+float-typed label map is checked and cast to uint8 chunk by chunk.
 
 Writes run the same way backwards: each slab is transposed from the
 memory layout into one reused little-endian buffer and written out, so a
@@ -64,10 +65,12 @@ MAGIC = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 #: Largest piece of a gzip stream inflated at once, and of compressed input fed to zlib at once.
 INFLATE_BYTES = 1 << 16
-#: z-planes of one channel decoded or encoded at a time: the staging slab of every read and write.
+#: Most z-planes of one channel decoded or encoded at a time: the staging slab of every read and write.
 SLAB_PLANES = 16
+#: Most bytes of one slab: planes larger than SLAB_BYTES / SLAB_PLANES get fewer planes a slab (at least one).
+SLAB_BYTES = 8 << 20
 #: Side of the (x, y) blocks in which a slab is transposed between file order and memory layout.
-TILE = 64
+TILE = 32
 
 # datatype code -> (numpy base dtype, bitpix)
 DTYPE_CODES = {
@@ -193,16 +196,21 @@ def _skip(stream, n: int) -> int:
     return done
 
 
-def _slab_parts(arr: np.ndarray):
+def _slab_planes(plane_bytes: int) -> int:
+    """z-planes a slab holds: SLAB_PLANES, or fewer so that the slab stays within SLAB_BYTES."""
+    return min(SLAB_PLANES, max(1, SLAB_BYTES // plane_bytes))
+
+
+def _slab_parts(arr: np.ndarray, planes: int):
     """The [x, y, z0:z0+nz] views of ``arr`` ([x,y,z] or [c,x,y,z]) in file order.
 
-    Channel by channel, SLAB_PLANES z-planes at a time: the order in which
+    Channel by channel, ``planes`` z-planes at a time: the order in which
     the x-fastest payload holds them.
     """
     dz = arr.shape[-1]
     for block in arr if arr.ndim == 4 else (arr,):
-        for z0 in range(0, dz, SLAB_PLANES):
-            yield block[:, :, z0 : z0 + SLAB_PLANES]
+        for z0 in range(0, dz, planes):
+            yield block[:, :, z0 : z0 + planes]
 
 
 def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
@@ -227,11 +235,13 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
 
     The array is [x,y,z] if ``channels`` is 0, else [c,x,y,z]. A ``scale``
     of (slope, inter) maps each value p to ``p * slope + inter``, with the
-    dtype and the bits the whole-array expression gives; without one the
-    file's dtype is kept. The stream is read into one reused slab of at
-    most SLAB_PLANES z-planes of one channel, and each slab is
-    byte-swapped, transposed (see _transpose_into) and scaled into place,
-    so a read holds the array and one slab.
+    dtype and the bits the whole-array expression gives. Without one the
+    file's dtype is kept, except that integer channels decode to float32,
+    which holds every uint8 and int16 value exactly. The stream is read
+    into one reused slab of at most SLAB_PLANES z-planes of one channel and
+    at most SLAB_BYTES, and each slab is byte-swapped, transposed (see
+    _transpose_into), cast and scaled into place, so a read holds the array
+    and one slab.
 
     Returns the array and the number of bytes read. Fewer than the
     payload means the stream ended first and the array is incomplete.
@@ -240,16 +250,23 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
     native = dtype.newbyteorder("=")
     shape = (dx, dy, dz) if channels == 0 else (channels, dx, dy, dz)
     plane = dy * dx * dtype.itemsize
+    planes = _slab_planes(plane)
+    if scale is not None:
+        out_dtype = np.result_type(native, scale[0])
+    elif channels and native.kind != "f":
+        out_dtype = np.dtype(np.float32)
+    else:
+        out_dtype = native
     try:
         # pages of a truncated stream's missing planes are never touched
-        out = np.empty(shape, dtype=native if scale is None else np.result_type(native, scale[0]))
-        slab = np.empty(min(dz, SLAB_PLANES) * plane, dtype=np.uint8)
+        out = np.empty(shape, dtype=out_dtype)
+        slab = np.empty(min(dz, planes) * plane, dtype=np.uint8)
     except (MemoryError, ValueError) as exc:
         n_bytes = math.prod(shape) * dtype.itemsize
         raise FormatError(f"header declares {n_bytes} payload bytes, more than can be held: {exc}") from exc
 
     got = 0
-    for part in _slab_parts(out):
+    for part in _slab_parts(out, planes):
         nz = part.shape[2]
         n = stream.readinto(slab[: nz * plane])
         got += n
@@ -266,14 +283,16 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
 def _write_payload(f, arr: np.ndarray) -> None:
     """Write ``arr`` ([x,y,z] or [c,x,y,z]) to ``f`` as a little-endian x-fastest payload.
 
-    Each slab of SLAB_PLANES z-planes of one channel is transposed into
-    one reused buffer (see _transpose_into) and written INFLATE_BYTES at a
-    time, so a write holds one slab besides the array, and a gzip ``f``
-    compresses, and holds the output of, one piece at a time.
+    Each slab of z-planes of one channel (as many as a read of the file
+    takes) is transposed into one reused buffer (see _transpose_into) and
+    written INFLATE_BYTES at a time, so a write holds one slab besides the
+    array, and a gzip ``f`` compresses, and holds the output of, one piece
+    at a time.
     """
     dx, dy, dz = arr.shape[-3:]
-    slab = np.empty((min(dz, SLAB_PLANES), dy, dx), dtype=arr.dtype.newbyteorder("<"))
-    for part in _slab_parts(arr):
+    planes = _slab_planes(dy * dx * arr.itemsize)
+    slab = np.empty((min(dz, planes), dy, dx), dtype=arr.dtype.newbyteorder("<"))
+    for part in _slab_parts(arr, planes):
         file_part = slab[: part.shape[2]]
         _transpose_into(file_part, part)
         data = file_part.reshape(-1).view(np.uint8)
@@ -364,10 +383,8 @@ def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
 
 
 def _as_probability(arr: np.ndarray, geometry: GridGeometry, renormalize: bool) -> ProbabilityVolume:
-    """The probability map of a decoded 4D volume, checked, and renormalized in
-    place if asked: the reader owns ``arr`` until ProbabilityVolume freezes it."""
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float32)
+    """The probability map of a decoded, float-typed 4D volume, checked, and renormalized
+    in place if asked: the reader owns ``arr`` until ProbabilityVolume freezes it."""
     check_channel_sums(arr, arr if renormalize else None)
     return ProbabilityVolume(geometry, arr)
 

@@ -174,20 +174,29 @@ def _prediction(unanimous: np.ndarray, model: PredictionModel) -> np.ndarray:
 
 
 def _scan_truth(spec: PhantomSpec, labels: list[np.ndarray]) -> PhantomTruth:
+    """Truth by an exhaustive scan of the label maps, independent of the consensus module.
+
+    Per class, each rater's compare is counted and folded into the every-
+    and any-rater masks in place, so the scan holds three boolean grids.
+    """
     vv = spec.geometry.voxel_volume_cm3
     volumes, mu, sigma, counts = {}, {}, {}, {}
+    fg, any_c, is_c = (np.empty(spec.geometry.dims, dtype=bool) for _ in range(3))
     for c in spec.spheres:
-        voxel_counts = np.array([int(np.count_nonzero(l == c)) for l in labels])
+        fg.fill(True)
+        any_c.fill(False)
+        voxel_counts = []
+        for l in labels:
+            np.equal(l, c, out=is_c)
+            voxel_counts.append(int(np.count_nonzero(is_c)))
+            fg &= is_c
+            any_c |= is_c
+        voxel_counts = np.array(voxel_counts)
         volumes[c] = tuple(float(n) * vv for n in voxel_counts)
         mu[c] = float(np.mean(voxel_counts)) * vv
         sigma[c] = float(np.std(voxel_counts)) * vv
-        fg = np.logical_and.reduce([l == c for l in labels])
-        any_c = np.logical_or.reduce([l == c for l in labels])
-        counts[c] = {
-            "fg": int(np.count_nonzero(fg)),
-            "bg": int(np.count_nonzero(~any_c)),
-            "dissensus": int(np.count_nonzero(any_c & ~fg)),
-        }
+        n_fg, n_any = int(np.count_nonzero(fg)), int(np.count_nonzero(any_c))
+        counts[c] = {"fg": n_fg, "bg": fg.size - n_any, "dissensus": n_any - n_fg}  # fg lies within any_c
     return PhantomTruth(volumes, mu, sigma, counts)
 
 

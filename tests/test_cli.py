@@ -7,9 +7,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import voxeval
@@ -481,3 +483,37 @@ def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, mon
     skipped = json.loads((tmp_path / "s" / "run_meta.json").read_text())["skipped_cases"]
     assert [s["case_id"] for s in skipped] == ["case_002"]
     assert victim in skipped[0]["reason"]
+
+
+def test_a_case_holds_its_prediction_region_code_and_packed_labels(tmp_path, monkeypatch):
+    # 8 raters pack into two planes; the 8 label maps are dropped once the regions are derived.
+    from conftest import random_probability_volume
+    from test_cece import perturbed_raters
+    from voxeval import cli, grid, metrics
+    from voxeval.manifest import CaseEntry
+    from voxeval.nifti import SLAB_PLANES, write_nifti
+
+    dims = (96, 96, 64)
+    rng = np.random.default_rng(5)
+    rater_paths = []
+    for r, rater in enumerate(perturbed_raters(rng, dims, 8)):
+        rater_paths.append(tmp_path / f"rater_{r}.nii")
+        write_nifti(rater, rater_paths[-1])
+    pred = random_probability_volume(rng, dims)
+    write_nifti(pred, tmp_path / "pred.nii")
+    entry = CaseEntry("c", "A", tuple(rater_paths), {"a": tmp_path / "pred.nii"})
+    config = RunConfig(manifest="m.json", out_dir="out")
+    # The pass holds one chunk and one gathered block: scaled down so that the grid bytes dominate.
+    monkeypatch.setattr(grid, "CHUNK_VOXELS", 1 << 12)
+    monkeypatch.setattr(metrics, "SUM_BLOCK", 1 << 14)
+    tracemalloc.start()
+    try:
+        cli._case_metrics(entry, config, config.eval_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_voxels = math.prod(dims)
+    code, planes = n_voxels, 2 * n_voxels
+    slab = SLAB_PLANES * dims[0] * dims[1] * pred.channels.itemsize  # 36 KiB planes: the byte cap does not bite
+    # the 8 label maps kept in place of the two planes would add 6 * n_voxels (3.4 MiB)
+    assert peak <= pred.channels.nbytes + code + planes + slab + (1 << 20), peak

@@ -146,3 +146,21 @@ def test_region_views_and_rater_counts_match_the_oracles(seed, n_raters, sizes, 
             assert np.array_equal(view.to_bool(dims), oracle)
             assert np.array_equal(view.to_bool(), oracle)
             assert view.count() == np.count_nonzero(oracle)
+
+
+@pytest.mark.parametrize("n_raters", range(2, 10))
+def test_packed_labels_unpack_to_each_rater(rng, n_raters):
+    # 2..9 raters fill 1-3 planes; rater 4 starts a plane (R = 5 crosses a byte).
+    dims = (5, 4, 3)
+    arrays = [rng.integers(0, 4, size=dims).astype(np.uint8) for _ in range(n_raters)]
+    arrays[-1] = np.full(dims, 3, dtype=np.uint8)  # both bits of the last rater's slot set
+    arrays[0] = arrays[0].astype(np.int16)  # a wider integer label map packs the same
+    raters = [LabelVolume(GridGeometry(dims, (1.0, 1.0, 1.0)), a) for a in arrays]
+    labels = derive_regions(raters).labels
+    assert labels.n_raters == n_raters
+    assert labels.planes.shape == (-(-n_raters // 4), np.prod(dims)) and labels.planes.dtype == np.uint8
+    for r, a in enumerate(arrays):
+        assert np.array_equal(labels.rater(r, 0, a.size), a.reshape(-1)), r
+        assert np.array_equal(labels.rater(r, 7, 19), a.reshape(-1)[7:19]), r
+        slot = (labels.planes[r // 4] >> 2 * (r % 4)) & 3  # the documented bit layout
+        assert np.array_equal(slot, a.reshape(-1)), r

@@ -3,6 +3,7 @@
 import gzip
 import itertools
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -20,7 +21,7 @@ from conftest import (
     random_probability_volume,
     write_volume_reference,
 )
-from voxeval import grid
+from voxeval import grid, nifti
 from voxeval.errors import (
     ChannelSumError,
     FormatError,
@@ -34,6 +35,7 @@ from voxeval.nifti import (
     DTYPE_CODES,
     read_desk,
     read_nifti,
+    SLAB_BYTES,
     SLAB_PLANES,
     TILE,
     read_volume,
@@ -62,6 +64,17 @@ def build_nifti(dims, datatype, payload, endian="<", dim0=None, dim4=1, spacing=
     struct.pack_into("<4s", header, 344, magic)
     pad = b"\x00" * (int(vox_offset) - 348)
     return bytes(header) + pad + payload
+
+
+def slab_bytes(dims, itemsize) -> int:
+    """Bytes of the staging slab for one channel of ``dims``: at most SLAB_PLANES planes and SLAB_BYTES."""
+    plane = dims[0] * dims[1] * itemsize
+    return min(dims[2], SLAB_PLANES, max(1, SLAB_BYTES // plane)) * plane
+
+
+def _capped(monkeypatch, dims):
+    """Cap the slab at three float32 (x, y) planes of ``dims``: 12 uint8, 6 int16, 3 float32 or 1 float64 planes."""
+    monkeypatch.setattr(nifti, "SLAB_BYTES", 3 * dims[0] * dims[1] * 4)
 
 
 def test_all_zero_uint8_payload_is_background_labels(tmp_path):
@@ -159,9 +172,12 @@ def test_write_is_deterministic(tmp_path, rng):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("capped", [False, True], ids=["planes", "bytes"])
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".json"], ids=["nii", "nii.gz", "desk"])
-def test_slab_writers_match_the_whole_array_writer(tmp_path, rng, suffix):
+def test_slab_writers_match_the_whole_array_writer(tmp_path, monkeypatch, rng, suffix, capped):
     dims = (TILE + 3, TILE + 1, SLAB_PLANES + 1)  # four tiles with ragged edges, two slabs
+    if capped:
+        _capped(monkeypatch, dims)
     g = geom(dims, (0.61, 0.8, 2.5))
     raw = rng.random((4, *dims)) + 1e-3
     channels = raw / raw.sum(axis=0)
@@ -189,7 +205,7 @@ def test_write_holds_at_most_one_slab(tmp_path, rng, suffix):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab = SLAB_PLANES * dims[0] * dims[1] * volume.channels.itemsize
+    slab = slab_bytes(dims, volume.channels.itemsize)
     assert peak <= slab + (1 << 20)  # the whole-array writer held 2-4 copies of the 2.5 MiB volume
 
 
@@ -342,7 +358,7 @@ def test_float_label_read_makes_no_full_size_temporary(tmp_path, rng):
     p.write_bytes(_float_label_nifti(rng.integers(0, 4, size=dims).astype(np.float32)))
     voxels, peak = _read_peak(p)
     decoded = voxels.size * 4
-    slab = SLAB_PLANES * dims[0] * dims[1] * 4
+    slab = slab_bytes(dims, 4)
     # a whole-array check held a rounded copy of the decoded map (+4 MiB) besides its masks
     assert peak <= decoded + voxels.nbytes + slab + (1 << 20)
 
@@ -555,6 +571,12 @@ def test_tile_decode_matches_whole_array_decode(tmp_path, container, base, endia
     _assert_decodes_like_whole_array(tmp_path, container, base, endian, _TILE_GRIDS)
 
 
+@pytest.mark.parametrize("container, base, endian", _DECODE_CASES)
+def test_byte_capped_slab_decode_matches_whole_array_decode(tmp_path, monkeypatch, container, base, endian):
+    _capped(monkeypatch, (3, 2))
+    _assert_decodes_like_whole_array(tmp_path, container, base, endian, _SLAB_GRIDS)
+
+
 def _assert_decodes_like_whole_array(tmp_path, container, base, endian, grids):
     """read_volume gives decode_payload_reference's bits and dtype on each of ``grids``."""
     rng = np.random.default_rng(11)
@@ -643,8 +665,35 @@ def test_read_holds_at_most_the_decoded_array_and_one_slab(tmp_path, rng, kind, 
     p = tmp_path / kind
     p.write_bytes(gzip.compress(blob, compresslevel=1, mtime=0) if kind.endswith(".gz") else blob)
     arr, peak = _read_peak(p, renormalize)  # renormalizing divides the decoded array in place
-    slab = SLAB_PLANES * dims[0] * dims[1] * arr.itemsize
+    slab = slab_bytes(dims, arr.itemsize)
     assert peak <= arr.nbytes + slab + (1 << 20)
+
+
+def test_read_of_wide_planes_holds_a_slab_of_at_most_slab_bytes(tmp_path):
+    # 1 MiB float32 planes: a 12-plane slab would hold 12 MiB
+    dims = (512, 512, 12)
+    p = tmp_path / "wide.nii"
+    p.write_bytes(build_nifti(dims, 16, np.float32(0.25).tobytes() * (4 * math.prod(dims)), dim4=4, vox_offset=352.0))
+    arr, peak = _read_peak(p)
+    assert slab_bytes(dims, 4) == SLAB_BYTES
+    assert peak <= arr.nbytes + SLAB_BYTES + (1 << 20)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["nii", "nii.gz"])
+@pytest.mark.parametrize("endian", "<>")
+@pytest.mark.parametrize("base", ["u1", "i2"])
+def test_integer_probability_map_decodes_straight_to_float32(tmp_path, rng, base, endian, compress):
+    dims = (128, 128, 32)
+    payload = _file_payload(_readable_values(rng, base, dims, 4, False), endian + base)
+    code = {b: c for c, (b, _) in DTYPE_CODES.items()}[base]
+    blob = build_nifti(dims, code, payload, endian=endian, dim4=4, vox_offset=352.0)
+    p = tmp_path / ("map.nii.gz" if compress else "map.nii")
+    p.write_bytes(gzip.compress(blob, compresslevel=1, mtime=0) if compress else blob)
+    arr, peak = _read_peak(p)
+    expected = decode_payload_reference(payload, np.dtype(endian + base), dims, 4).astype(np.float32)
+    assert arr.dtype == np.float32 and arr.tobytes() == expected.tobytes()
+    # the integer array and its float32 cast, both held at once, took 1.25-1.5x the map
+    assert peak <= arr.nbytes + slab_bytes(dims, np.dtype(base).itemsize) + (1 << 20)
 
 
 def test_incompressible_gzip_read_does_not_hold_the_compressed_file(tmp_path, rng):
@@ -652,7 +701,7 @@ def test_incompressible_gzip_read_does_not_hold_the_compressed_file(tmp_path, rn
     p = tmp_path / "softmax.nii.gz"
     p.write_bytes(gzip.compress(_random_probability_nifti(rng, dims), compresslevel=1, mtime=0))
     arr, peak = _read_peak(p)
-    slab = SLAB_PLANES * dims[0] * dims[1] * arr.itemsize
+    slab = slab_bytes(dims, arr.itemsize)
     margin = 2 << 20
     assert p.stat().st_size > 2 * margin  # holding the compressed file would break the bound
     assert peak < arr.nbytes + slab + margin

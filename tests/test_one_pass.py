@@ -125,7 +125,7 @@ def assert_same_case_metrics(got: CaseMetrics, expected: CaseMetrics):
 @given(
     seed=st.integers(0, 2**32 - 1),
     dims=st.tuples(st.integers(3, 6), st.integers(2, 5), st.integers(3, 4)),
-    n_raters=st.integers(2, 4),
+    n_raters=st.integers(2, 6),
     dtype=st.sampled_from([np.float32, np.float64]),
     chunk=CHUNKS,
     block=st.sampled_from([1 << 20, 3, 8]),
@@ -158,7 +158,7 @@ def test_evaluate_case_matches_the_oracles_at_any_chunk_size(
     with chunked(chunk, pred.geometry.n_voxels, block):
         expected = expected_case_metrics(pred, raters, config, "c", "a")
         regions = derive_regions(raters, classes=classes)
-        assert_same_case_metrics(evaluate_case(pred, raters, config, "c", "a", regions), expected)
+        assert_same_case_metrics(evaluate_case(pred, (), config, "c", "a", regions), expected)
         assert_same_case_metrics(evaluate_case(pred, raters, config, "c", "a"), expected)
 
         scores = confidence_scores(pred, regions)
@@ -168,6 +168,22 @@ def test_evaluate_case_matches_the_oracles_at_any_chunk_size(
             reference = compensated_sum_reference(pred.channels[c], metrics.SUM_BLOCK)
             assert compensated_sum(pred.channels[c]) == reference
             assert predicted_volume(pred, c) == pred.geometry.voxel_volume_cm3 * reference
+
+
+@pytest.mark.parametrize("n_raters", [2, 3, 5])  # one packed plane, a full one, and two
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16, None])
+@pytest.mark.parametrize("block", [1 << 20, 3, 8])
+def test_shared_regions_carry_the_raters_labels(n_raters, chunk, block):
+    rng = np.random.default_rng(100 * n_raters + 7)
+    dims = (5, 4, 3)
+    pred = edge_case_prediction(rng, dims, 6, np.float32)
+    raters = perturbed_raters(rng, dims, n_raters, flip=0.3)
+    config = EvalConfig(ece_bins=6, ece_per_class=True, ece_exclude_dissensus=True)
+    with chunked(chunk, pred.geometry.n_voxels, block):
+        expected = expected_case_metrics(pred, raters, config, "c", "a")
+        regions = derive_regions(raters)
+        assert_same_case_metrics(evaluate_case(pred, (), config, "c", "a", regions), expected)
+        assert_same_case_metrics(evaluate_case(pred, raters, config, "c", "a"), expected)
 
 
 @settings(max_examples=60, deadline=None)

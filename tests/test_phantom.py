@@ -10,13 +10,15 @@ import pytest
 from conftest import apply_model_reference, region_counts, unanimity_one_hot_reference
 from voxeval.consensus import derive_regions
 from voxeval.errors import ValidationError
-from voxeval.grid import GridGeometry, validate_probability_sums
+from voxeval.grid import GridGeometry, LabelVolume, validate_probability_sums
 from voxeval.manifest import load_manifest
 from voxeval.metrics import EvalConfig, cece_multirater, evaluate_case
 from voxeval.phantom import (
     PhantomSpec,
     PredictionModel,
     Sphere,
+    _rater_labels,
+    _scan_truth,
     generate,
     parse_spec_document,
     write_dataset,
@@ -153,6 +155,21 @@ def test_blurred_generation_holds_about_two_predictions():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * ph.prediction.channels.nbytes
+
+
+def test_truth_scan_holds_three_boolean_grids():
+    # Five raters: lists of per-rater compares held at least six grids at once.
+    spec = spec_48(deltas=(-2, -1, 0, 1, 2))
+    labels = _rater_labels(spec)
+    tracemalloc.start()
+    try:
+        truth = _scan_truth(spec, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert truth.region_counts == region_counts(derive_regions([LabelVolume(spec.geometry, l) for l in labels]))
+    grid = labels[0].size  # bytes of one boolean grid
+    assert peak <= 3 * grid + (64 << 10), peak
 
 
 def test_spec_validation():
