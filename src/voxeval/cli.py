@@ -169,10 +169,7 @@ def run_evaluate(config: RunConfig) -> int:
     bootstrap = bootstrap_ranks(case_metrics, iterations=config.iterations, seed=config.seed)
     bubbles = bubble_export(bootstrap)
     groups = aggregate(case_metrics, manifest)
-    try:
-        correlation = correlations(case_metrics, per_organ=config.correlations_per_organ)
-    except ValidationError:
-        correlation = None
+    correlation = correlations(case_metrics, per_organ=config.correlations_per_organ)
 
     run_meta = {
         "tool": "voxeval",

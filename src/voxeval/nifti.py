@@ -11,7 +11,8 @@ Two on-disk formats are supported:
 
 * A "desk" format for hand-written fixtures: ``<name>.json`` holding
   ``{dims, spacing_mm, dtype, channels}`` next to ``<name>.raw`` with the
-  little-endian payload.
+  little-endian payload. The library only reads it; the test suite's
+  ``write_desk`` writes it.
 
 Payload layout matches NIfTI: x varies fastest, then y, then z; for 4D
 data the channel axis is slowest (one full 3D block per channel).
@@ -480,24 +481,6 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
     if channels == 0:
         return _as_label(arr, geometry)
     return _as_probability(arr, geometry, renormalize)
-
-
-def write_desk(volume: LabelVolume | ProbabilityVolume, path) -> None:
-    path = Path(path)
-    if isinstance(volume, LabelVolume):
-        arr, channels = volume.voxels, 0
-    else:
-        arr, channels = volume.channels, N_CHANNELS
-    name = {v: k for k, v in DESK_DTYPES.items()}[arr.dtype.str.lstrip("<>|=")]
-    meta = {
-        "dims": list(volume.geometry.dims),
-        "spacing_mm": list(volume.geometry.spacing),
-        "dtype": name,
-        "channels": channels,
-    }
-    path.write_text(json.dumps(meta, sort_keys=True) + "\n")
-    with open(path.with_suffix(".raw"), "wb") as f:
-        _write_payload(f, arr)
 
 
 def read_volume(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolume:

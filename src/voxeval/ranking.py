@@ -5,6 +5,12 @@ error and CRPS ascending. The composite score is the plain mean of the
 four per-metric ranks; algorithms are ordered by ascending composite,
 with ties broken by lower calibration error, then lower CRPS, then
 name.
+
+``rank_cases`` ranks from ``case_table``: one validated (case, algorithm)
+table per metric, which ``stability.bootstrap_ranks`` resamples too. By
+default it ranks the case means; with ``per_case_ranks`` it ranks each
+case's row and averages those ranks. Both sum the cases one at a time in
+sorted case order.
 """
 
 import math
@@ -126,46 +132,59 @@ def composite_ranking(
     return RankingTable(rows)
 
 
-def aggregate_case_means(case_metrics) -> dict[str, dict[str, float]]:
-    """metric -> algorithm -> mean over cases (the Table-style aggregate)."""
-    by_alg: dict[str, list] = {}
-    for cm in case_metrics:
-        by_alg.setdefault(cm.algorithm, []).append(cm)
-    out: dict[str, dict[str, float]] = {m: {} for m in METRIC_NAMES}
-    for a, items in by_alg.items():
-        for m in METRIC_NAMES:
-            vals = [cm.metric_mean(m) for cm in items]
-            out[m][a] = sum(vals) / len(vals)
-    return out
+def case_table(case_metrics) -> tuple[list[str], list[str], np.ndarray]:
+    """-> (algorithms, case_ids, values): the validated table of case metrics.
+
+    Algorithms and case ids are sorted; ``values[k]`` is the float64
+    (n_cases, n_algorithms) array of metric ``METRIC_NAMES[k]``. Raises
+    ValidationError on a duplicate (case, algorithm) pair or on an
+    algorithm with no metrics for some case.
+    """
+    case_ids = sorted({m.case_id for m in case_metrics})
+    algorithms = sorted({m.algorithm for m in case_metrics})
+    index = {}
+    for m in case_metrics:
+        key = (m.case_id, m.algorithm)
+        if key in index:
+            raise ValidationError(f"duplicate metrics for case {m.case_id!r}, algorithm {m.algorithm!r}")
+        index[key] = m
+    values = np.empty((len(METRIC_NAMES), len(case_ids), len(algorithms)))
+    for i, a in enumerate(algorithms):
+        for j, c in enumerate(case_ids):
+            m = index.get((c, a))
+            if m is None:
+                raise ValidationError(f"algorithm {a!r} has no metrics for case {c!r}")
+            values[:, j, i] = [m.metric_mean(metric) for metric in METRIC_NAMES]
+    return algorithms, case_ids, values
 
 
-def per_case_average_ranks(case_metrics) -> dict[str, dict[str, float]]:
-    """Alternative aggregation: rank within each case, then average ranks."""
-    by_case: dict[str, list] = {}
-    for cm in case_metrics:
-        by_case.setdefault(cm.case_id, []).append(cm)
-    all_algorithms = {cm.algorithm for cm in case_metrics}
-    for case_id, items in by_case.items():
-        if {cm.algorithm for cm in items} != all_algorithms:
-            raise ValidationError(f"case {case_id!r} does not cover every algorithm")
-    sums: dict[str, dict[str, float]] = {m: {} for m in METRIC_NAMES}
-    n_cases = len(by_case)
-    for items in by_case.values():
-        for m in METRIC_NAMES:
-            ranks = rank_metric(
-                {cm.algorithm: cm.metric_mean(m) for cm in items}, METRIC_DIRECTIONS[m]
-            )
-            for a, r in ranks.items():
-                sums[m][a] = sums[m].get(a, 0.0) + r
-    return {m: {a: s / n_cases for a, s in per_alg.items()} for m, per_alg in sums.items()}
+def _row_mean(rows: np.ndarray) -> list[float]:
+    """Mean over the first axis, adding one row at a time in order: the
+    bits of Python's ``sum(column) / len(column)``, which numpy's pairwise
+    ``mean(axis=0)`` does not give for a single column of 8 or more rows."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return (total / len(rows)).tolist()
 
 
 def rank_cases(case_metrics, per_case_ranks: bool = False) -> RankingTable:
     """Rank algorithms from per-case metrics.
 
-    Default ranks the per-algorithm case means; the alternative averages
-    within-case ranks instead.
+    Default ranks the per-algorithm case means; ``per_case_ranks`` ranks
+    each case on its own and averages those ranks instead. Both sum over
+    the cases in sorted order.
     """
-    values = aggregate_case_means(case_metrics)
-    ranks = per_case_average_ranks(case_metrics) if per_case_ranks else None
-    return composite_ranking(values, ranks)
+    algorithms, _, values = case_table(case_metrics)
+    means = {m: dict(zip(algorithms, _row_mean(values[k]))) for k, m in enumerate(METRIC_NAMES)}
+    if not per_case_ranks:
+        return composite_ranking(means)
+    finite = np.isfinite(values).transpose(1, 0, 2)  # report the first fault by case, metric, algorithm
+    if not finite.all():
+        j, k, i = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise ValidationError(f"non-finite value {float(values[k, j, i])!r} for algorithm {algorithms[i]!r}")
+    ranks = {}
+    for k, m in enumerate(METRIC_NAMES):
+        sign = -1.0 if METRIC_DIRECTIONS[m] == "descending" else 1.0
+        ranks[m] = dict(zip(algorithms, _row_mean(average_ranks(sign * values[k], axis=1))))
+    return composite_ranking(means, ranks)

@@ -95,8 +95,8 @@ def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> Gro
 @dataclass(frozen=True)
 class CorrelationMatrix:
     metrics: tuple[str, ...]
-    pearson: list[list[float | None]]
-    spearman: list[list[float | None]]
+    pearson: list[list[float | None]] | None  # None below 3 points
+    spearman: list[list[float | None]] | None
     n_points: int
     pooling: str  # "case" | "case-organ"
 
@@ -121,7 +121,9 @@ def correlations(case_metrics: list[CaseMetrics], per_organ: bool = False) -> Co
     (case, algorithm) points (or per-organ points with ``per_organ``).
 
     A metric with zero variance gets None off-diagonal entries instead
-    of propagating NaN; diagonals are 1 by definition.
+    of propagating NaN; diagonals are 1 by definition. With fewer than 3
+    pooled points the correlations are undefined and both matrices are
+    None.
     """
     points: list[list[float]] = []
     if per_organ:
@@ -135,14 +137,15 @@ def correlations(case_metrics: list[CaseMetrics], per_organ: bool = False) -> Co
             row = [cm.metric_mean(m) for m in METRIC_NAMES]
             if all(not math.isnan(v) for v in row):
                 points.append(row)
-    if len(points) < 3:
-        raise ValidationError(f"need at least 3 pooled points for correlations, got {len(points)}")
-    columns = np.array(points, dtype=np.float64).T  # (4, n)
-    ranked = average_ranks(columns, axis=1)
+    pearson = spearman = None
+    if len(points) >= 3:
+        columns = np.array(points, dtype=np.float64).T  # (4, n)
+        pearson = _corr_from_columns(columns)
+        spearman = _corr_from_columns(average_ranks(columns, axis=1))
     return CorrelationMatrix(
         metrics=METRIC_NAMES,
-        pearson=_corr_from_columns(columns),
-        spearman=_corr_from_columns(ranked),
+        pearson=pearson,
+        spearman=spearman,
         n_points=len(points),
         pooling="case-organ" if per_organ else "case",
     )
@@ -310,7 +313,7 @@ def emit(
     bootstrap: BootstrapSummary,
     bubbles: list[dict],
     groups: GroupReport,
-    correlation: CorrelationMatrix | None,
+    correlation: CorrelationMatrix,
     run_meta: dict,
 ) -> list[Path]:
     """Write the full artifact set; returns the created paths.
@@ -388,28 +391,16 @@ def emit(
     bubble_cols = ["metric", "algorithm", "x_order", "rank", "frequency_pct", "median_rank", "ci_low", "ci_high"]
     csv_path("bubbles.csv", bubble_cols, [[b[c] for c in bubble_cols] for b in bubbles])
 
-    if correlation is None:
-        json_path(
-            "correlations.json",
-            {
-                "metrics": list(METRIC_NAMES),
-                "pearson": None,
-                "spearman": None,
-                "n_points": len({cm.case_id for cm in case_metrics}),
-                "note": "fewer than 3 pooled points; correlations undefined",
-            },
-        )
-    else:
-        json_path(
-            "correlations.json",
-            {
-                "metrics": list(correlation.metrics),
-                "pearson": correlation.pearson,
-                "spearman": correlation.spearman,
-                "n_points": correlation.n_points,
-                "pooling": correlation.pooling,
-            },
-        )
+    json_path(
+        "correlations.json",
+        {
+            "metrics": list(correlation.metrics),
+            "pearson": correlation.pearson,
+            "spearman": correlation.spearman,
+            "n_points": correlation.n_points,
+            "pooling": correlation.pooling,
+        },
+    )
 
     json_path("run_meta.json", {"schema_version": SCHEMA_VERSION, **run_meta})
     return written

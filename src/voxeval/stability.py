@@ -10,14 +10,16 @@ Reproducibility: iteration i draws its indices from numpy's PCG64
 seeded with SeedSequence((seed, i)), so any other implementation of the
 same scheme can match the numbers exactly.
 
-Design: the resample indices of all iterations are drawn first into one
+Design: the bootstrap resamples the rows of ``ranking.case_table``, the
+same validated table ``rank_cases`` ranks, built once per call. The
+resample indices of all iterations are drawn first into one
 (iterations, n_cases) matrix. Iterations are then ranked BLOCK_ITERATIONS
 at a time: per block and metric, one gather and mean, then one row-wise
-``ranking.average_ranks`` call, the ranking ``rank_metric`` uses for a
-single iteration. Each mean sums its resampled cases in draw order,
-exactly as a loop over single iterations would, so no output byte depends
-on the block size. The block bounds the gather buffer to
-BLOCK_ITERATIONS x n_cases x n_algorithms floats.
+``ranking.average_ranks`` call, which gives each iteration the ranks
+``rank_metric`` would give its means alone. Each mean sums its resampled
+cases in draw order, exactly as a loop over single iterations would, so
+no output byte depends on the block size. The block bounds the gather
+buffer to BLOCK_ITERATIONS x n_cases x n_algorithms floats.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .metrics import METRIC_NAMES, CaseMetrics
-from .ranking import METRIC_DIRECTIONS, average_ranks
+from .ranking import METRIC_DIRECTIONS, average_ranks, case_table
 
 #: Iterations ranked per vectorized step.
 BLOCK_ITERATIONS = 256
@@ -51,31 +53,6 @@ class BootstrapSummary:
     stats: dict[str, dict[str, RankStats]]  # metric -> algorithm -> stats
 
 
-def _metric_matrix(case_metrics: list[CaseMetrics], metric: str):
-    """-> (algorithms, case_ids, values[algo, case]) with coverage checks."""
-    case_ids = sorted({m.case_id for m in case_metrics})
-    algorithms = sorted({m.algorithm for m in case_metrics})
-    index: dict[tuple[str, str], CaseMetrics] = {}
-    for m in case_metrics:
-        key = (m.case_id, m.algorithm)
-        if key in index:
-            raise ValidationError(f"duplicate metrics for case {m.case_id!r}, algorithm {m.algorithm!r}")
-        index[key] = m
-    values = np.empty((len(algorithms), len(case_ids)))
-    for i, a in enumerate(algorithms):
-        for j, c in enumerate(case_ids):
-            m = index.get((c, a))
-            if m is None:
-                raise ValidationError(f"algorithm {a!r} has no metrics for case {c!r}")
-            values[i, j] = m.metric_mean(metric)
-    if not np.isfinite(values).all():
-        i, j = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-        raise ValidationError(
-            f"non-finite {metric} value for algorithm {algorithms[i]!r}, case {case_ids[j]!r}"
-        )
-    return algorithms, case_ids, values
-
-
 def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
     """-> (iterations, n_cases) case indices; row i from SeedSequence((seed, i))."""
     idx = np.empty((iterations, n_cases), dtype=np.int64)
@@ -88,18 +65,18 @@ def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
 def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndarray:
     """-> (iterations, n_alg) tie-averaged ranks of the resampled means, 1 = best.
 
-    ``values.T[block]`` is C-ordered (block, n_cases, n_alg), so each mean
-    adds its cases one at a time in draw order, algorithms on the inner
-    axis: the summation numpy gives a single iteration's ``values[:, idx]``.
-    ``average_ranks`` then ranks each row of signed means on its own, so an
-    iteration's ranks equal those ``rank_metric`` gives for the same means.
+    ``values`` is one metric's (n_cases, n_alg) table. ``values[block]`` is
+    C-ordered (block, n_cases, n_alg), so each mean adds its cases one at a
+    time in draw order, algorithms on the inner axis: the summation numpy
+    gives a single iteration's ``values.T[:, idx]``. ``average_ranks`` then
+    ranks each row of signed means on its own, so an iteration's ranks
+    equal those ``rank_metric`` gives for the same means.
     """
     sign = -1.0 if direction == "descending" else 1.0
-    by_case = values.T
-    ranks = np.empty((len(idx), len(values)))
+    ranks = np.empty((len(idx), values.shape[1]))
     for start in range(0, len(idx), BLOCK_ITERATIONS):
         block = idx[start : start + BLOCK_ITERATIONS]
-        means = by_case[block].mean(axis=1)
+        means = values[block].mean(axis=1)
         ranks[start : start + len(block)] = average_ranks(sign * means, axis=1)
     return ranks
 
@@ -120,15 +97,19 @@ def bootstrap_ranks(
     if not case_metrics:
         raise ValidationError("no case metrics to bootstrap")
 
-    matrices = {}
-    for metric in METRIC_NAMES:
-        algorithms, case_ids, values = _metric_matrix(case_metrics, metric)
-        matrices[metric] = values
+    algorithms, case_ids, values = case_table(case_metrics)
+    for metric, table in zip(METRIC_NAMES, values):
+        finite = np.isfinite(table.T)  # report the first fault by algorithm, then case
+        if not finite.all():
+            i, j = np.unravel_index(int(np.argmin(finite)), finite.shape)
+            raise ValidationError(
+                f"non-finite {metric} value for algorithm {algorithms[i]!r}, case {case_ids[j]!r}"
+            )
     idx = _resample_indices(len(case_ids), iterations, seed)
 
     stats: dict[str, dict[str, RankStats]] = {}
-    for metric in METRIC_NAMES:
-        ranks = _block_ranks(matrices[metric], idx, METRIC_DIRECTIONS[metric])
+    for metric, table in zip(METRIC_NAMES, values):
+        ranks = _block_ranks(table, idx, METRIC_DIRECTIONS[metric])
         stats[metric] = {}
         for j, a in enumerate(algorithms):
             column = ranks[:, j]

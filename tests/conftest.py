@@ -16,13 +16,13 @@ import pytest
 from scipy.special import ndtr
 
 from voxeval.consensus import ConsensusRegions
-from voxeval.errors import ChannelSumError, ParameterError
+from voxeval.errors import ChannelSumError, ParameterError, ValidationError
 from voxeval.grid import CHANNEL_SUM_TOLERANCE, N_CHANNELS, GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
 from voxeval.metrics import METRIC_NAMES, CalibrationBins, CaseMetrics
-from voxeval.nifti import DESK_DTYPES, DTYPE_CODES
+from voxeval.nifti import DESK_DTYPES, DTYPE_CODES, _write_payload
 from voxeval.phantom import PredictionModel
 from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
-from voxeval.stability import BootstrapSummary, RankStats, _metric_matrix
+from voxeval.stability import BootstrapSummary, RankStats
 
 
 def geom(dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0)) -> GridGeometry:
@@ -325,8 +325,28 @@ def decode_payload_reference(payload: bytes, dtype, dims, channels: int, scale=N
     return arr
 
 
+def write_desk(volume: LabelVolume | ProbabilityVolume, path) -> None:
+    """Write the JSON-header desk format that ``nifti.read_desk`` reads,
+    through the library's slab payload writer."""
+    path = Path(path)
+    if isinstance(volume, LabelVolume):
+        arr, channels = volume.voxels, 0
+    else:
+        arr, channels = volume.channels, N_CHANNELS
+    name = {v: k for k, v in DESK_DTYPES.items()}[arr.dtype.str.lstrip("<>|=")]
+    meta = {
+        "dims": list(volume.geometry.dims),
+        "spacing_mm": list(volume.geometry.spacing),
+        "dtype": name,
+        "channels": channels,
+    }
+    path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+    with open(path.with_suffix(".raw"), "wb") as f:
+        _write_payload(f, arr)
+
+
 def write_volume_reference(volume: LabelVolume | ProbabilityVolume, path) -> None:
-    """Whole-array writer: ``write_nifti`` (``.nii``/``.nii.gz``) or, for ``.json``, ``write_desk``.
+    """Whole-array twin of ``write_nifti`` (``.nii``/``.nii.gz``) or, for ``.json``, of ``write_desk`` above.
 
     It builds the whole little-endian file-order payload at once; the slab
     writers must write the same bytes.
@@ -470,6 +490,40 @@ def average_ranks(values):
     return ranks
 
 
+def aggregate_case_means_reference(case_metrics) -> dict[str, dict[str, float]]:
+    """metric -> algorithm -> mean over cases (the Table-style aggregate)."""
+    by_alg: dict[str, list] = {}
+    for cm in case_metrics:
+        by_alg.setdefault(cm.algorithm, []).append(cm)
+    out: dict[str, dict[str, float]] = {m: {} for m in METRIC_NAMES}
+    for a, items in by_alg.items():
+        for m in METRIC_NAMES:
+            vals = [cm.metric_mean(m) for cm in items]
+            out[m][a] = sum(vals) / len(vals)
+    return out
+
+
+def per_case_average_ranks_reference(case_metrics) -> dict[str, dict[str, float]]:
+    """Alternative aggregation: rank within each case, then average ranks."""
+    by_case: dict[str, list] = {}
+    for cm in case_metrics:
+        by_case.setdefault(cm.case_id, []).append(cm)
+    all_algorithms = {cm.algorithm for cm in case_metrics}
+    for case_id, items in by_case.items():
+        if {cm.algorithm for cm in items} != all_algorithms:
+            raise ValidationError(f"case {case_id!r} does not cover every algorithm")
+    sums: dict[str, dict[str, float]] = {m: {} for m in METRIC_NAMES}
+    n_cases = len(by_case)
+    for items in by_case.values():
+        for m in METRIC_NAMES:
+            ranks = rank_metric(
+                {cm.algorithm: cm.metric_mean(m) for cm in items}, METRIC_DIRECTIONS[m]
+            )
+            for a, r in ranks.items():
+                sums[m][a] = sums[m].get(a, 0.0) + r
+    return {m: {a: s / n_cases for a, s in per_alg.items()} for m, per_alg in sums.items()}
+
+
 def _iteration_ranks(values: dict[str, np.ndarray], algorithms, idx) -> dict[str, np.ndarray]:
     out = {}
     for metric, mat in values.items():
@@ -482,10 +536,13 @@ def _iteration_ranks(values: dict[str, np.ndarray], algorithms, idx) -> dict[str
 def bootstrap_ranks_reference(case_metrics, iterations: int, seed: int) -> BootstrapSummary:
     """One iteration at a time through ``rank_metric``: the block-ranked
     ``bootstrap_ranks`` must reproduce this summary byte for byte."""
-    matrices = {}
-    for metric in METRIC_NAMES:
-        algorithms, case_ids, values = _metric_matrix(case_metrics, metric)
-        matrices[metric] = values
+    algorithms = sorted({cm.algorithm for cm in case_metrics})
+    case_ids = sorted({cm.case_id for cm in case_metrics})
+    by_pair = {(cm.algorithm, cm.case_id): cm for cm in case_metrics}
+    matrices = {
+        metric: np.array([[by_pair[a, c].metric_mean(metric) for c in case_ids] for a in algorithms])
+        for metric in METRIC_NAMES
+    }
     n_cases = len(case_ids)
 
     def run(i: int) -> dict[str, np.ndarray]:

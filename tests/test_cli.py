@@ -163,6 +163,21 @@ def test_group_filter_restricts_cases(phantom_dir, tmp_path):
     assert {r["case_id"] for r in rows} == {"case_003"}
 
 
+def test_one_case_of_two_algorithms_writes_undefined_correlations_over_two_points(tmp_path):
+    algorithms = {k: PHANTOM_SPEC["algorithms"][k] for k in ("good", "bad")}
+    spec = dict(PHANTOM_SPEC, cases=1, algorithms=algorithms)
+    assert main(["phantom", str(write_spec(tmp_path, spec)), "--out", str(tmp_path / "data")]) == 0
+    out = tmp_path / "r"
+    assert main(["evaluate", str(tmp_path / "data" / "manifest.json"), "--out", str(out), "--iterations", "5"]) == 0
+    assert json.loads((out / "correlations.json").read_text()) == {
+        "metrics": ["dsc", "confidence", "ece", "crps"],
+        "pearson": None,
+        "spearman": None,
+        "n_points": 2,
+        "pooling": "case",
+    }
+
+
 def test_corrupt_volume_aborts_with_exit_2(phantom_dir, tmp_path, capsys):
     victim = next((phantom_dir / "volumes").glob("case_002_rater_1*"))
     victim.write_bytes(victim.read_bytes()[:100])

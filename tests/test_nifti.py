@@ -19,6 +19,7 @@ from conftest import (
     label_volume,
     one_hot_volume,
     random_probability_volume,
+    write_desk,
     write_volume_reference,
 )
 from voxeval import grid, nifti
@@ -39,7 +40,6 @@ from voxeval.nifti import (
     SLAB_PLANES,
     TILE,
     read_volume,
-    write_desk,
     write_nifti,
 )
 

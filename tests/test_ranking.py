@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from conftest import average_ranks, make_case_metrics
+from conftest import (
+    aggregate_case_means_reference,
+    average_ranks,
+    make_case_metrics,
+    per_case_average_ranks_reference,
+)
 from voxeval import ranking
 from voxeval.errors import ValidationError
+from voxeval.metrics import METRIC_NAMES
 from voxeval.ranking import (
     composite_ranking,
-    per_case_average_ranks,
     rank_cases,
     rank_metric,
 )
@@ -236,13 +241,77 @@ def test_per_case_rank_mode_differs_when_outlier_dominates():
         make_case_metrics("c3", "x", dsc=0.10, confidence=0.5, ece=0.1, crps=1.0),
         make_case_metrics("c3", "y", dsc=0.90, confidence=0.5, ece=0.1, crps=1.0),
     ]
-    averaged = per_case_average_ranks(cms)
-    assert averaged["dsc"]["x"] == (1 + 1 + 2) / 3
-    assert averaged["dsc"]["y"] == (2 + 2 + 1) / 3
     mean_then_rank = rank_cases(cms)
     rank_then_mean = rank_cases(cms, per_case_ranks=True)
     assert {r.algorithm: r.ranks["dsc"] for r in mean_then_rank.rows} == {"x": 2.0, "y": 1.0}
     assert {r.algorithm: r.ranks["dsc"] for r in rank_then_mean.rows} == {
-        "x": averaged["dsc"]["x"],
-        "y": averaged["dsc"]["y"],
+        "x": (1 + 1 + 2) / 3,
+        "y": (2 + 2 + 1) / 3,
     }
+
+
+def case_grid(n_cases, n_algorithms, draw):
+    """Sorted (case, algorithm) metrics; ``draw()`` gives each pair's four values."""
+    return [
+        make_case_metrics(f"c{j:02d}", f"a{i}", *map(float, draw()))
+        for j in range(n_cases)
+        for i in range(n_algorithms)
+    ]
+
+
+def rank_cases_reference(case_metrics, per_case_ranks):
+    values = aggregate_case_means_reference(case_metrics)
+    ranks = per_case_average_ranks_reference(case_metrics) if per_case_ranks else None
+    return composite_ranking(values, ranks)
+
+
+@pytest.mark.parametrize("per_case_ranks", [False, True], ids=["means", "per-case"])
+def test_rank_cases_is_bit_identical_to_the_dict_reference(per_case_ranks):
+    rng = np.random.default_rng(15)
+    grids = [
+        case_grid(n_cases, n_algorithms, lambda: rng.random(4))
+        for n_cases, n_algorithms in ((1, 1), (3, 2), (9, 5), (17, 7))
+    ]
+    grids += [case_grid(12, 6, lambda: rng.choice([0.25, 0.5, 0.75], 4))]  # exact ties
+    # one algorithm over 16 cases: a pairwise sum of the column rounds differently
+    single = case_grid(16, 1, lambda: rng.random(4))
+    columns = [[cm.metric_mean(m) for cm in single] for m in METRIC_NAMES]
+    assert any(np.array(c)[:, None].mean(axis=0)[0] != sum(c) / len(c) for c in columns)
+    for cms in grids + [single]:
+        assert rank_cases(cms, per_case_ranks).rows == rank_cases_reference(cms, per_case_ranks).rows
+    shuffled = list(grids[3])
+    rng.shuffle(shuffled)
+    assert rank_cases(shuffled, per_case_ranks) == rank_cases(grids[3], per_case_ranks)
+
+
+@pytest.mark.parametrize("per_case_ranks", [False, True], ids=["means", "per-case"])
+@pytest.mark.parametrize(
+    "faults",
+    [
+        [("c01", "a1", "confidence", math.nan)],
+        # the means scheme reports the first metric, the per-case scheme the first case
+        [("c02", "a0", "confidence", math.nan), ("c01", "a2", "crps", math.inf)],
+    ],
+    ids=["one", "two"],
+)
+def test_non_finite_value_is_reported_like_the_dict_reference(per_case_ranks, faults):
+    cms = case_grid(3, 3, lambda: (0.5, 0.5, 0.1, 1.0))
+    for case_id, algorithm, metric, value in faults:
+        k = next(i for i, cm in enumerate(cms) if (cm.case_id, cm.algorithm) == (case_id, algorithm))
+        row = dict(zip(METRIC_NAMES, (0.5, 0.5, 0.1, 1.0)), **{metric: value})
+        cms[k] = make_case_metrics(case_id, algorithm, *row.values())
+    with pytest.raises(ValidationError) as want:
+        rank_cases_reference(cms, per_case_ranks)
+    with pytest.raises(ValidationError) as got:
+        rank_cases(cms, per_case_ranks)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("non-finite value ")
+
+
+@pytest.mark.parametrize("per_case_ranks", [False, True], ids=["means", "per-case"])
+def test_rank_cases_rejects_duplicate_pairs_and_gaps(per_case_ranks):
+    cms = case_grid(2, 2, lambda: (0.5, 0.5, 0.1, 1.0))
+    with pytest.raises(ValidationError, match="^duplicate metrics for case 'c00', algorithm 'a1'$"):
+        rank_cases(cms + [cms[1]], per_case_ranks)
+    with pytest.raises(ValidationError, match="^algorithm 'a1' has no metrics for case 'c01'$"):
+        rank_cases(cms[:-1], per_case_ranks)

@@ -166,10 +166,11 @@ def test_per_organ_pooling_triples_the_points(rng):
     assert correlations(cms, per_organ=True).n_points == 12
 
 
-def test_too_few_points_rejected(rng):
-    cms = [make_case_metrics("c1", "alg", 0.5, 0.5, 0.1, 1.0)]
-    with pytest.raises(ValidationError, match="at least 3"):
-        correlations(cms)
+def test_too_few_points_give_undefined_correlations():
+    cms = [make_case_metrics("c1", alg, 0.5, 0.5, 0.1, 1.0) for alg in ("x", "y")]
+    cm = correlations(cms)
+    assert cm.pearson is None and cm.spearman is None
+    assert (cm.n_points, cm.pooling) == (2, "case")
 
 
 def full_artifact_inputs(tmp_path, rng):
@@ -249,7 +250,7 @@ def test_cases_csv_writes_numpy_floats_as_plain_numbers(tmp_path):
         manifest = manifest_stub(tmp_path, {"c1": "A", "c2": "B"})
         boot = bootstrap_ranks(cms, iterations=5, seed=0)
         emit(out, case_metrics=cms, manifest=manifest, ranking=rank_cases(cms), bootstrap=boot,
-             bubbles=bubble_export(boot), groups=aggregate(cms, manifest), correlation=None,
+             bubbles=bubble_export(boot), groups=aggregate(cms, manifest), correlation=correlations(cms),
              run_meta={"tool": "voxeval"})
         return (out / "cases.csv").read_bytes()
 
