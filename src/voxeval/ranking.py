@@ -9,8 +9,8 @@ name.
 ``rank_cases`` ranks from ``case_table``: one validated (case, algorithm)
 table per metric, which ``stability.bootstrap_ranks`` resamples too. By
 default it ranks the case means; with ``per_case_ranks`` it ranks each
-case's row and averages those ranks. Both sum the cases one at a time in
-sorted case order.
+case's row and averages those ranks. Both add the cases with Python's
+``sum`` in sorted case order.
 """
 
 import math
@@ -159,13 +159,12 @@ def case_table(case_metrics) -> tuple[list[str], list[str], np.ndarray]:
 
 
 def _row_mean(rows: np.ndarray) -> list[float]:
-    """Mean over the first axis, adding one row at a time in order: the
-    bits of Python's ``sum(column) / len(column)``, which numpy's pairwise
-    ``mean(axis=0)`` does not give for a single column of 8 or more rows."""
-    total = np.zeros(rows.shape[1:])
-    for row in rows:
-        total += row
-    return (total / len(rows)).tolist()
+    """Each column's ``sum(column) / len(column)``, adding the rows in order
+    with Python's ``sum``: the bits the old per-algorithm lists of case
+    values gave on every Python version (``sum`` is compensated from 3.12
+    on, and numpy's pairwise ``mean(axis=0)`` rounds differently from both
+    for a column of 8 or more rows). Sums of ranks are exact either way."""
+    return [sum(column) / len(rows) for column in rows.T.tolist()]
 
 
 def rank_cases(case_metrics, per_case_ranks: bool = False) -> RankingTable:
@@ -173,7 +172,7 @@ def rank_cases(case_metrics, per_case_ranks: bool = False) -> RankingTable:
 
     Default ranks the per-algorithm case means; ``per_case_ranks`` ranks
     each case on its own and averages those ranks instead. Both sum over
-    the cases in sorted order.
+    the cases in sorted order with Python's ``sum``.
     """
     algorithms, _, values = case_table(case_metrics)
     means = {m: dict(zip(algorithms, _row_mean(values[k]))) for k, m in enumerate(METRIC_NAMES)}
