@@ -18,10 +18,13 @@ evaluated. Input files are never modified.
 import argparse
 import csv
 import json
+import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .consensus import derive_regions
@@ -174,6 +177,8 @@ def run_evaluate(config: RunConfig) -> int:
     run_meta = {
         "tool": "voxeval",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "config": asdict(config),
         "manifest_sha256": manifest_sha256(config.manifest),
         "skipped_cases": skipped,

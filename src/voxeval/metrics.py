@@ -145,6 +145,24 @@ def compensated_sum(values: np.ndarray) -> float:
     return math.fsum(_block_total(flat[i : i + SUM_BLOCK]) for i in range(0, flat.size, SUM_BLOCK))
 
 
+def mean_in_order(rows):
+    """Mean over the leading axis of a non-empty ``rows``, of shape
+    ``rows.shape[1:]``: the rows are added in float64 one at a time, in
+    order, starting from 0.0, then divided by their count.
+
+    The organ means of a case, the case and group means, the averaged ranks,
+    the composite and every bootstrap resample mean are taken here, so their
+    bits depend on neither the Python version (``sum`` of floats is
+    compensated from 3.12 on) nor numpy's reduction order (pairwise along a
+    contiguous axis).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    total = 0.0 + rows[0]  # a new array, and -0.0 becomes 0.0 as 0.0 + -0.0 does
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
+
+
 @dataclass(frozen=True)
 class CalibrationBins:
     """Equal-width confidence binning and the resulting calibration error.
@@ -387,7 +405,7 @@ def _confidence(stats: _PassStatistics, regions: ConsensusRegions) -> Confidence
         c_fg[c], c_bg[c] = f, b
         c_seg[c] = None if (f is None or b is None) else ((1.0 - b) + f) / 2.0
     defined = [v for v in c_seg.values() if v is not None]
-    return ConfidenceScores(c_fg, c_bg, c_seg, sum(defined) / len(defined) if defined else None)
+    return ConfidenceScores(c_fg, c_bg, c_seg, float(mean_in_order(defined)) if defined else None)
 
 
 def confidence_scores(pred: ProbabilityVolume, regions: ConsensusRegions) -> ConfidenceScores:
@@ -439,8 +457,7 @@ def cece_multirater(
     include: np.ndarray | None = None,
 ) -> float:
     """Mean of the per-rater multiclass calibration errors."""
-    values = [b.value for b in _calibrate(pred, raters, None, bins, eq2_literal, include)]
-    return sum(values) / len(values)
+    return float(mean_in_order([b.value for b in _calibrate(pred, raters, None, bins, eq2_literal, include)]))
 
 
 def predicted_volume(pred: ProbabilityVolume, class_id: int) -> float:
@@ -601,10 +618,12 @@ def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMet
 
     values = {t: [b.value for b in stats.binning[t].results(config.eq2_literal)] for t in targets}
     if config.ece_per_class:
+        # numpy's mean over the raters, pairwise from 8 raters on: it does not
+        # depend on the Python version, and mean_in_order would move its last bit
         cece_by_class = {c: float(np.mean(values[c])) for c in config.classes}
-        mean_cece = sum(cece_by_class.values()) / len(cece_by_class)
+        mean_cece = float(mean_in_order(list(cece_by_class.values())))
     else:
-        grid_value = sum(values[None]) / len(values[None])
+        grid_value = float(mean_in_order(values[None]))
         cece_by_class = {c: grid_value for c in config.classes}
         mean_cece = grid_value
 
@@ -615,10 +634,10 @@ def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMet
         c_seg=conf.c_seg,
         cece=cece_by_class,
         crps=crps,
-        mean_dsc=sum(dsc.values()) / len(dsc),
+        mean_dsc=float(mean_in_order(list(dsc.values()))),
         mean_c_seg=conf.mean,
         mean_cece=mean_cece,
-        mean_crps=sum(crps.values()) / len(crps),
+        mean_crps=float(mean_in_order(list(crps.values()))),
         empty_consensus_fg=empty_fg,
         empty_consensus_bg=empty_bg,
         sigma_zero=sigma_zero,

@@ -9,8 +9,8 @@ name.
 ``rank_cases`` ranks from ``case_table``: one validated (case, algorithm)
 table per metric, which ``stability.bootstrap_ranks`` resamples too. By
 default it ranks the case means; with ``per_case_ranks`` it ranks each
-case's row and averages those ranks. Both add the cases with Python's
-``sum`` in sorted case order.
+case's row and averages those ranks. Every mean is
+``metrics.mean_in_order``.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import METRIC_NAMES
+from .metrics import METRIC_NAMES, mean_in_order
 
 METRIC_DIRECTIONS = {
     "dsc": "descending",
@@ -112,9 +112,8 @@ def composite_ranking(
         ranks = {m: rank_metric(metric_values[m], METRIC_DIRECTIONS[m]) for m in METRIC_NAMES}
     else:
         ranks = metric_ranks
-    composites = {
-        a: sum(ranks[m][a] for m in METRIC_NAMES) / len(METRIC_NAMES) for a in algorithms
-    }
+    # averaged per-case ranks are not half-integers, so their sum can round
+    composites = {a: float(mean_in_order([ranks[m][a] for m in METRIC_NAMES])) for a in algorithms}
     order = sorted(
         algorithms,
         key=lambda a: (composites[a], metric_values["ece"][a], metric_values["crps"][a], a),
@@ -158,24 +157,15 @@ def case_table(case_metrics) -> tuple[list[str], list[str], np.ndarray]:
     return algorithms, case_ids, values
 
 
-def _row_mean(rows: np.ndarray) -> list[float]:
-    """Each column's ``sum(column) / len(column)``, adding the rows in order
-    with Python's ``sum``: the bits the old per-algorithm lists of case
-    values gave on every Python version (``sum`` is compensated from 3.12
-    on, and numpy's pairwise ``mean(axis=0)`` rounds differently from both
-    for a column of 8 or more rows). Sums of ranks are exact either way."""
-    return [sum(column) / len(rows) for column in rows.T.tolist()]
-
-
 def rank_cases(case_metrics, per_case_ranks: bool = False) -> RankingTable:
     """Rank algorithms from per-case metrics.
 
     Default ranks the per-algorithm case means; ``per_case_ranks`` ranks
-    each case on its own and averages those ranks instead. Both sum over
-    the cases in sorted order with Python's ``sum``.
+    each case on its own and averages those ranks instead. Both add the
+    cases in sorted order.
     """
     algorithms, _, values = case_table(case_metrics)
-    means = {m: dict(zip(algorithms, _row_mean(values[k]))) for k, m in enumerate(METRIC_NAMES)}
+    means = {m: dict(zip(algorithms, mean_in_order(values[k]).tolist())) for k, m in enumerate(METRIC_NAMES)}
     if not per_case_ranks:
         return composite_ranking(means)
     finite = np.isfinite(values).transpose(1, 0, 2)  # report the first fault by case, metric, algorithm
@@ -185,5 +175,5 @@ def rank_cases(case_metrics, per_case_ranks: bool = False) -> RankingTable:
     ranks = {}
     for k, m in enumerate(METRIC_NAMES):
         sign = -1.0 if METRIC_DIRECTIONS[m] == "descending" else 1.0
-        ranks[m] = dict(zip(algorithms, _row_mean(average_ranks(sign * values[k], axis=1))))
+        ranks[m] = dict(zip(algorithms, mean_in_order(average_ranks(sign * values[k], axis=1)).tolist()))
     return composite_ranking(means, ranks)

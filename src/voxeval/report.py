@@ -22,11 +22,11 @@ import numpy as np
 from .errors import ValidationError
 from .grid import CLASS_NAMES
 from .manifest import DatasetManifest
-from .metrics import METRIC_NAMES, CaseMetrics
+from .metrics import METRIC_NAMES, CaseMetrics, mean_in_order
 from .ranking import RankingTable, average_ranks
 from .stability import BootstrapSummary
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: CSV display scaling per metric: (header suffix, factor)
 _DISPLAY = {
@@ -55,10 +55,6 @@ def _case_group_index(manifest: DatasetManifest) -> dict[str, str]:
     return {c.case_id: c.group for c in manifest.cases}
 
 
-def _mean_or_none(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
-
-
 def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> GroupReport:
     """Per-group and overall case-weighted metric means per algorithm.
 
@@ -81,8 +77,8 @@ def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> Gro
     for (group, algorithm), items in sorted(by_key.items()):
         means: dict[str, float | None] = {}
         for m in METRIC_NAMES:
-            vals = [cm.metric_mean(m) for cm in items]
-            means[m] = _mean_or_none([v for v in vals if not math.isnan(v)])
+            vals = [v for v in (cm.metric_mean(m) for cm in items) if not math.isnan(v)]
+            means[m] = float(mean_in_order(vals)) if vals else None
         flags = {
             "empty_consensus_fg": sum(sum(cm.empty_consensus_fg.values()) for cm in items),
             "empty_consensus_bg": sum(sum(cm.empty_consensus_bg.values()) for cm in items),

@@ -16,10 +16,12 @@ resample indices of all iterations are drawn first into one
 (iterations, n_cases) matrix. Iterations are then ranked BLOCK_ITERATIONS
 at a time: per block and metric, one gather and mean, then one row-wise
 ``ranking.average_ranks`` call, which gives each iteration the ranks
-``rank_metric`` would give its means alone. Each mean sums its resampled
-cases in draw order, exactly as a loop over single iterations would, so
-no output byte depends on the block size. The block bounds the gather
-buffer to BLOCK_ITERATIONS x n_cases x n_algorithms floats.
+``rank_metric`` would give its means alone. Each mean is
+``metrics.mean_in_order`` over the resampled cases in draw order, the
+rule ``rank_cases`` follows in sorted case order, so no output byte depends
+on the block size, and a resample that draws every case once in order
+gives the published means. The block bounds the gather buffer to
+BLOCK_ITERATIONS x n_cases x n_algorithms floats.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .metrics import METRIC_NAMES, CaseMetrics
+from .metrics import METRIC_NAMES, CaseMetrics, mean_in_order
 from .ranking import METRIC_DIRECTIONS, average_ranks, case_table
 
 #: Iterations ranked per vectorized step.
@@ -65,18 +67,17 @@ def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
 def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndarray:
     """-> (iterations, n_alg) tie-averaged ranks of the resampled means, 1 = best.
 
-    ``values`` is one metric's (n_cases, n_alg) table. ``values[block]`` is
-    C-ordered (block, n_cases, n_alg), so each mean adds its cases one at a
-    time in draw order, algorithms on the inner axis: the summation numpy
-    gives a single iteration's ``values.T[:, idx]``. ``average_ranks`` then
-    ranks each row of signed means on its own, so an iteration's ranks
-    equal those ``rank_metric`` gives for the same means.
+    ``values`` is one metric's (n_cases, n_alg) table, and
+    ``values[block.T]`` the (n_cases, block, n_alg) resampled cases, in
+    draw order along the leading axis. ``average_ranks`` ranks each row of
+    signed means on its own, so an iteration's ranks equal those
+    ``rank_metric`` gives for the same means.
     """
     sign = -1.0 if direction == "descending" else 1.0
     ranks = np.empty((len(idx), values.shape[1]))
     for start in range(0, len(idx), BLOCK_ITERATIONS):
         block = idx[start : start + BLOCK_ITERATIONS]
-        means = values[block].mean(axis=1)
+        means = mean_in_order(values[block.T])
         ranks[start : start + len(block)] = average_ranks(sign * means, axis=1)
     return ranks
 

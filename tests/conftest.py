@@ -490,6 +490,16 @@ def average_ranks(values):
     return ranks
 
 
+def mean_left_to_right(values) -> float:
+    """Referee for every published mean: add from 0.0, left to right, then
+    divide by the count. A plain loop, so it means the same on every Python
+    version (``sum`` of floats is compensated from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def aggregate_case_means_reference(case_metrics) -> dict[str, dict[str, float]]:
     """metric -> algorithm -> mean over cases (the Table-style aggregate)."""
     by_alg: dict[str, list] = {}
@@ -498,8 +508,7 @@ def aggregate_case_means_reference(case_metrics) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {m: {} for m in METRIC_NAMES}
     for a, items in by_alg.items():
         for m in METRIC_NAMES:
-            vals = [cm.metric_mean(m) for cm in items]
-            out[m][a] = sum(vals) / len(vals)
+            out[m][a] = mean_left_to_right([cm.metric_mean(m) for cm in items])
     return out
 
 
@@ -527,7 +536,7 @@ def per_case_average_ranks_reference(case_metrics) -> dict[str, dict[str, float]
 def _iteration_ranks(values: dict[str, np.ndarray], algorithms, idx) -> dict[str, np.ndarray]:
     out = {}
     for metric, mat in values.items():
-        means = mat[:, idx].mean(axis=1)
+        means = [mean_left_to_right(row) for row in mat[:, idx].tolist()]
         ranks = rank_metric(dict(zip(algorithms, means)), METRIC_DIRECTIONS[metric])
         out[metric] = np.array([ranks[a] for a in algorithms])
     return out

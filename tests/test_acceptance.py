@@ -20,6 +20,7 @@ from conftest import (
     crps_by_integration,
     label_volume,
     make_case_metrics,
+    mean_left_to_right,
     one_hot_volume,
     random_label_array,
     random_probability_volume,
@@ -343,14 +344,14 @@ def test_criterion_9_group_aggregation_identity(tmp_path):
     for alg in ("u", "v"):
         values = [cm.mean_dsc for cm in cms if cm.algorithm == alg]
         # identical left-fold reduction: the identity holds exactly
-        assert rows[("overall", alg)].means["dsc"] == sum(values) / len(values)
+        assert rows[("overall", alg)].means["dsc"] == mean_left_to_right(values)
         assert math.isclose(rows[("overall", alg)].means["dsc"], math.fsum(values) / len(values), rel_tol=1e-12)
         # the wrong aggregation (mean of group means) must differ here
         group_means = [rows[(g, alg)].means["dsc"] for g in "ABC"]
-        assert rows[("overall", alg)].means["dsc"] != sum(group_means) / 3.0
+        assert rows[("overall", alg)].means["dsc"] != mean_left_to_right(group_means)
         for g in "ABC":
             per_group = [cm.mean_dsc for cm in cms if cm.algorithm == alg and groups[cm.case_id] == g]
-            assert rows[(g, alg)].means["dsc"] == sum(per_group) / len(per_group)
+            assert rows[(g, alg)].means["dsc"] == mean_left_to_right(per_group)
     print(f"ACCEPTANCE 9 PASS - overall equals the case-weighted mean exactly; "
           f"full-corpus table values are out of desk-scale scope by design "
           f"({time.perf_counter() - started:.2f} s)")

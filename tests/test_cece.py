@@ -12,6 +12,7 @@ from conftest import (
     cece_by_voxel_loop,
     geom,
     label_volume,
+    mean_left_to_right,
     one_hot_volume,
     random_label_array,
     random_probability_volume,
@@ -265,7 +266,7 @@ def test_shared_binning_matches_per_rater_reference(rng, bins, n_raters, dtype):
                     else:
                         assert_same_bins(cece_binary(pred, r, class_id, bins, literal, include), e)
                 if class_id is None:
-                    mean = sum(e.value for e in expected) / n_raters
+                    mean = mean_left_to_right([e.value for e in expected])
                     assert cece_multirater(pred, raters, bins, literal, include) == mean
 
 
@@ -296,10 +297,10 @@ def test_evaluate_case_calibration_matches_per_rater_reference(rng, n_raters, dt
                 include = unanimous if exclude else None
                 if per_class:
                     expected = {c: float(np.mean(reference_values(c, literal, include))) for c in classes}
-                    expected_mean = sum(expected.values()) / len(expected)
+                    expected_mean = mean_left_to_right(expected.values())
                 else:
                     values = reference_values(None, literal, include)
-                    expected_mean = sum(values) / len(values)
+                    expected_mean = mean_left_to_right(values)
                     expected = {c: expected_mean for c in classes}
                 got = evaluate_case(pred, raters, config)
                 assert got.cece == expected

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,10 @@ def test_phantom_then_evaluate_end_to_end(phantom_dir, tmp_path, capsys):
     assert [r["algorithm"] for r in rows] == ["good", "mid", "bad"]
     assert [r["final_rank"] for r in rows] == ["1", "2", "3"]
     meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["schema_version"] == 2
+    # the means are the same on every version; the versions are recorded to trace a run
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
     assert meta["config"]["seed"] == 4
     assert meta["manifest_sha256"]
     assert meta["skipped_cases"] == []

@@ -11,6 +11,7 @@ from conftest import (
     dsc_by_voxel_loop,
     geom,
     label_volume,
+    mean_left_to_right,
     one_hot_volume,
     random_probability_volume,
 )
@@ -300,7 +301,7 @@ def test_case_confidence_is_the_confidence_scores_record(rng, classes):
     assert list(cm.c_seg) == list(classes)
     assert cm.c_seg == expected
     defined = [v for v in expected.values() if v is not None]
-    assert cm.mean_c_seg == (sum(defined) / len(defined) if defined else None)
+    assert cm.mean_c_seg == (mean_left_to_right(defined) if defined else None)
 
 
 def test_rater_order_does_not_change_any_metric(rng):

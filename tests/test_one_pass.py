@@ -22,6 +22,7 @@ from conftest import (
     compensated_sum_reference,
     consensus_by_voxel_loop,
     dsc_by_voxel_loop,
+    mean_left_to_right,
     random_probability_volume,
     validate_probability_sums_reference,
 )
@@ -89,10 +90,10 @@ def expected_case_metrics(pred, raters, config: EvalConfig, case_id, algorithm) 
 
     if config.ece_per_class:
         cece_by_class = {c: float(np.mean(values(c))) for c in config.classes}
-        mean_cece = sum(cece_by_class.values()) / len(cece_by_class)
+        mean_cece = mean_left_to_right(cece_by_class.values())
     else:
         per_rater = values(None)
-        mean_cece = sum(per_rater) / len(per_rater)
+        mean_cece = mean_left_to_right(per_rater)
         cece_by_class = {c: mean_cece for c in config.classes}
     defined = [v for v in c_seg.values() if v is not None]
     return CaseMetrics(
@@ -102,10 +103,10 @@ def expected_case_metrics(pred, raters, config: EvalConfig, case_id, algorithm) 
         c_seg=c_seg,
         cece=cece_by_class,
         crps=crps,
-        mean_dsc=sum(dsc.values()) / len(dsc),
-        mean_c_seg=sum(defined) / len(defined) if defined else None,
+        mean_dsc=mean_left_to_right(dsc.values()),
+        mean_c_seg=mean_left_to_right(defined) if defined else None,
         mean_cece=mean_cece,
-        mean_crps=sum(crps.values()) / len(crps),
+        mean_crps=mean_left_to_right(crps.values()),
         empty_consensus_fg=empty_fg,
         empty_consensus_bg=empty_bg,
         sigma_zero=sigma_zero,
@@ -218,7 +219,7 @@ def test_calibration_entry_points_match_the_reference_at_any_chunk_size(
                 else:
                     assert_same_bins(cece_binary(pred, r, class_id, bins, literal, mask), e)
         expected_values = [e.value for e in calibration_reference(pred, raters, None, bins, literal, mask)]
-        assert cece_multirater(pred, raters, bins, literal, mask) == sum(expected_values) / n_raters
+        assert cece_multirater(pred, raters, bins, literal, mask) == mean_left_to_right(expected_values)
 
 
 @settings(max_examples=100, deadline=None)
