@@ -9,7 +9,7 @@ import pytest
 from conftest import make_case_metrics, pearson_by_formula, average_ranks
 from voxeval.errors import ValidationError
 from voxeval.manifest import CaseEntry, DatasetManifest
-from voxeval.metrics import METRIC_NAMES
+from voxeval.metrics import METRIC_NAMES, CaseMetrics
 from voxeval.ranking import rank_cases
 from voxeval.report import aggregate, correlations, emit
 from voxeval.stability import bootstrap_ranks, bubble_export
@@ -283,3 +283,116 @@ def test_emit_fails_fast_on_empty_input(tmp_path, rng):
     with pytest.raises(ValidationError, match="refusing to emit"):
         emit(out, **inputs)
     assert not out.exists()
+
+
+def flagged_pairs() -> list[CaseMetrics]:
+    """Two cases of two algorithms: every flag set on some class, undefined confidences, and a
+    case scored on pancreas only, as under ``--classes pancreas``."""
+
+    def pair(case_id, algorithm, classes, dsc, c_seg, mean_c_seg, cece, crps, flags=()):
+        per_class = lambda values: dict(zip(classes, values))  # noqa: E731
+        return CaseMetrics(
+            case_id=case_id,
+            algorithm=algorithm,
+            dsc=per_class(dsc),
+            c_seg=per_class(c_seg),
+            cece=per_class(cece),
+            crps=per_class(crps),
+            mean_dsc=sum(dsc) / len(dsc),
+            mean_c_seg=mean_c_seg,
+            mean_cece=sum(cece) / len(cece),
+            mean_crps=sum(crps) / len(crps),
+            empty_consensus_fg={c: (c, "empty_consensus_fg") in flags for c in classes},
+            empty_consensus_bg={c: (c, "empty_consensus_bg") in flags for c in classes},
+            sigma_zero={c: (c, "sigma_zero") in flags for c in classes},
+        )
+
+    return [
+        pair("c1", "x", (1, 2, 3), (0.5, 0.75, 1.0), (None, 0.5, 1.0), 0.75, (0.25,) * 3, (1.5, 2.5, 0.5),
+             flags=((1, "empty_consensus_fg"), (3, "sigma_zero"))),
+        pair("c1", "y", (1, 2, 3), (0.25, 0.5, 0.75), (0.5,) * 3, 0.5, (0.125,) * 3, (1.0, 2.0, 3.0),
+             flags=((2, "empty_consensus_bg"),)),
+        pair("c2", "x", (1,), (0.5,), (None,), None, (0.5,), (4.0,),
+             flags=((1, "empty_consensus_fg"), (1, "sigma_zero"))),
+        pair("c2", "y", (1,), (1.0,), (0.75,), 0.75, (0.0625,), (0.25,)),
+    ]
+
+
+def test_flags_and_class_subsets_are_emitted_as_pinned(tmp_path):
+    cms = flagged_pairs()
+    manifest = manifest_stub(tmp_path, {"c1": "A", "c2": "B"})
+    # the ranking and the bootstrap need finite case means: they are not under test here
+    finite = [make_case_metrics(cm.case_id, cm.algorithm, 0.5, 0.5, 0.1, 1.0) for cm in cms]
+    boot = bootstrap_ranks(finite, iterations=5, seed=0)
+    out = tmp_path / "o"
+    emit(out, case_metrics=cms, manifest=manifest, ranking=rank_cases(finite), bootstrap=boot,
+         bubbles=bubble_export(boot), groups=aggregate(cms, manifest), correlation=correlations(cms),
+         run_meta={"tool": "voxeval"})
+    assert (out / "cases.csv").read_text() == PINNED_CASES_CSV
+    assert (out / "groups.csv").read_text() == PINNED_GROUPS_CSV
+    for name, records in (("cases.json", PINNED_CASES), ("groups.json", PINNED_GROUPS)):
+        assert (out / name).read_text() == json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+PINNED_CASES_CSV = """\
+case_id,algorithm,group,dsc_pct_pancreas,dsc_pct_kidney,dsc_pct_liver,dsc_pct_mean,\
+confidence_pct_pancreas,confidence_pct_kidney,confidence_pct_liver,confidence_pct_mean,\
+ece_x1e3_pancreas,ece_x1e3_kidney,ece_x1e3_liver,ece_x1e3_mean,\
+crps_cm3_pancreas,crps_cm3_kidney,crps_cm3_liver,crps_cm3_mean,flags
+c1,x,A,50.0,75.0,100.0,75.0,,50.0,100.0,75.0,250.0,250.0,250.0,250.0,1.5,2.5,0.5,1.5,pancreas:empty_fg;liver:sigma_zero
+c1,y,A,25.0,50.0,75.0,50.0,50.0,50.0,50.0,50.0,125.0,125.0,125.0,125.0,1.0,2.0,3.0,2.0,kidney:empty_bg
+c2,x,B,50.0,,,50.0,,,,,500.0,,,500.0,4.0,,,4.0,pancreas:empty_fg;pancreas:sigma_zero
+c2,y,B,100.0,,,100.0,75.0,,,75.0,62.5,,,62.5,0.25,,,0.25,
+"""
+
+PINNED_GROUPS_CSV = """\
+group,algorithm,n_cases,dsc_pct_mean,confidence_pct_mean,ece_x1e3_mean,crps_cm3_mean,\
+flags_empty_fg,flags_empty_bg,flags_sigma_zero
+A,x,1,75.0,75.0,250.0,1.5,1,0,1
+A,y,1,50.0,50.0,125.0,2.0,0,1,0
+B,x,1,50.0,,500.0,4.0,1,0,1
+B,y,1,100.0,75.0,62.5,0.25,0,0,0
+overall,x,2,62.5,75.0,375.0,2.75,2,0,2
+overall,y,2,75.0,62.5,93.75,1.125,0,1,0
+"""
+
+
+def _case(case_id, algorithm, group, dsc, c_seg, cece, crps, means, fg=(), bg=(), sigma_zero=()):
+    names = ("pancreas", "kidney", "liver")
+    by_name = lambda values: dict(zip(names, values))  # noqa: E731
+    record = {"case_id": case_id, "algorithm": algorithm, "group": group}
+    record |= {"dsc": by_name(dsc), "c_seg": by_name(c_seg), "cece": by_name(cece), "crps_cm3": by_name(crps)}
+    record |= dict(zip(("mean_dsc", "mean_c_seg", "mean_cece", "mean_crps_cm3"), means))
+    record["flags"] = {"empty_consensus_fg": list(fg), "empty_consensus_bg": list(bg), "sigma_zero": list(sigma_zero)}
+    return record
+
+
+PINNED_CASES = [
+    _case("c1", "x", "A", (0.5, 0.75, 1.0), (None, 0.5, 1.0), (0.25,) * 3, (1.5, 2.5, 0.5), (0.75, 0.75, 0.25, 1.5),
+          fg=["pancreas"], sigma_zero=["liver"]),
+    _case("c1", "y", "A", (0.25, 0.5, 0.75), (0.5,) * 3, (0.125,) * 3, (1.0, 2.0, 3.0), (0.5, 0.5, 0.125, 2.0),
+          bg=["kidney"]),
+    _case("c2", "x", "B", (0.5,), (None,), (0.5,), (4.0,), (0.5, None, 0.5, 4.0),
+          fg=["pancreas"], sigma_zero=["pancreas"]),
+    _case("c2", "y", "B", (1.0,), (0.75,), (0.0625,), (0.25,), (1.0, 0.75, 0.0625, 0.25)),
+]
+
+
+def _group(group, algorithm, n_cases, means, flag_counts):
+    return {
+        "group": group,
+        "algorithm": algorithm,
+        "n_cases": n_cases,
+        "means": dict(zip(("dsc", "confidence", "ece", "crps"), means)),
+        "flag_counts": dict(zip(("empty_consensus_fg", "empty_consensus_bg", "sigma_zero"), flag_counts)),
+    }
+
+
+PINNED_GROUPS = [
+    _group("A", "x", 1, (0.75, 0.75, 0.25, 1.5), (1, 0, 1)),
+    _group("A", "y", 1, (0.5, 0.5, 0.125, 2.0), (0, 1, 0)),
+    _group("B", "x", 1, (0.5, None, 0.5, 4.0), (1, 0, 1)),
+    _group("B", "y", 1, (1.0, 0.75, 0.0625, 0.25), (0, 0, 0)),
+    _group("overall", "x", 2, (0.625, 0.75, 0.375, 2.75), (2, 0, 2)),
+    _group("overall", "y", 2, (0.75, 0.625, 0.09375, 1.125), (0, 1, 0)),
+]
