@@ -95,7 +95,7 @@ def _parse_classes(text: str) -> tuple[int, ...]:
             raise ValidationError(
                 f"unknown class {token!r}; use ids {ORGAN_CLASSES} or names {sorted(ids_by_name)}"
             )
-    return tuple(dict.fromkeys(out))
+    return tuple(sorted(set(out)))  # the organ means add the classes in this order
 
 
 def _load_label(path) -> LabelVolume:

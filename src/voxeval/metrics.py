@@ -522,6 +522,13 @@ def crps_gaussian(dist: VolumeDistribution) -> float:
     return dist.sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / SQRT_PI)
 
 
+#: Each metric's per-class field of CaseMetrics; the organ mean is in ``mean_<field>``.
+METRIC_FIELDS = {"dsc": "dsc", "confidence": "c_seg", "ece": "cece", "crps": "crps"}
+METRIC_NAMES = tuple(METRIC_FIELDS)
+#: The per-class flag fields of CaseMetrics.
+FLAG_NAMES = ("empty_consensus_fg", "empty_consensus_bg", "sigma_zero")
+
+
 @dataclass(frozen=True)
 class CaseMetrics:
     """All metrics for one (case, algorithm) pair.
@@ -546,17 +553,21 @@ class CaseMetrics:
     empty_consensus_bg: dict[int, bool]
     sigma_zero: dict[int, bool]
 
+    def per_class(self, metric: str) -> dict[int, float | None]:
+        """The per-class map of ``metric``, one of METRIC_NAMES."""
+        return getattr(self, METRIC_FIELDS[metric])
+
+    def mean(self, metric: str) -> float | None:
+        """The organ mean of ``metric``, None where it is undefined."""
+        return getattr(self, "mean_" + METRIC_FIELDS[metric])
+
     def metric_mean(self, metric: str) -> float:
-        value = {
-            "dsc": self.mean_dsc,
-            "confidence": self.mean_c_seg,
-            "ece": self.mean_cece,
-            "crps": self.mean_crps,
-        }[metric]
+        value = self.mean(metric)
         return math.nan if value is None else value
 
-
-METRIC_NAMES = ("dsc", "confidence", "ece", "crps")
+    def flagged(self, flag: str) -> list[int]:
+        """The sorted ids of the classes where ``flag``, one of FLAG_NAMES, is set."""
+        return sorted(c for c, v in getattr(self, flag).items() if v)
 
 
 def evaluate_case(

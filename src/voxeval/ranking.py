@@ -136,8 +136,9 @@ def case_table(case_metrics) -> tuple[list[str], list[str], np.ndarray]:
 
     Algorithms and case ids are sorted; ``values[k]`` is the float64
     (n_cases, n_algorithms) array of metric ``METRIC_NAMES[k]``. Raises
-    ValidationError on a duplicate (case, algorithm) pair or on an
-    algorithm with no metrics for some case.
+    ValidationError on a duplicate (case, algorithm) pair, on an
+    algorithm with no metrics for some case, or on a non-finite value,
+    naming the first by metric, then algorithm, then case.
     """
     case_ids = sorted({m.case_id for m in case_metrics})
     algorithms = sorted({m.algorithm for m in case_metrics})
@@ -154,6 +155,12 @@ def case_table(case_metrics) -> tuple[list[str], list[str], np.ndarray]:
             if m is None:
                 raise ValidationError(f"algorithm {a!r} has no metrics for case {c!r}")
             values[:, j, i] = [m.metric_mean(metric) for metric in METRIC_NAMES]
+    finite = np.isfinite(values.transpose(0, 2, 1))
+    if not finite.all():
+        k, i, j = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise ValidationError(
+            f"non-finite {METRIC_NAMES[k]} value for algorithm {algorithms[i]!r}, case {case_ids[j]!r}"
+        )
     return algorithms, case_ids, values
 
 
@@ -168,10 +175,6 @@ def rank_cases(case_metrics, per_case_ranks: bool = False) -> RankingTable:
     means = {m: dict(zip(algorithms, mean_in_order(values[k]).tolist())) for k, m in enumerate(METRIC_NAMES)}
     if not per_case_ranks:
         return composite_ranking(means)
-    finite = np.isfinite(values).transpose(1, 0, 2)  # report the first fault by case, metric, algorithm
-    if not finite.all():
-        j, k, i = np.unravel_index(int(np.argmin(finite)), finite.shape)
-        raise ValidationError(f"non-finite value {float(values[k, j, i])!r} for algorithm {algorithms[i]!r}")
     ranks = {}
     for k, m in enumerate(METRIC_NAMES):
         sign = -1.0 if METRIC_DIRECTIONS[m] == "descending" else 1.0

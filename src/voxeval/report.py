@@ -20,20 +20,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .grid import CLASS_NAMES
+from .grid import CLASS_NAMES, ORGAN_CLASSES
 from .manifest import DatasetManifest
-from .metrics import METRIC_NAMES, CaseMetrics, mean_in_order
+from .metrics import FLAG_NAMES, METRIC_NAMES, CaseMetrics, mean_in_order
 from .ranking import RankingTable, average_ranks
 from .stability import BootstrapSummary
 
 SCHEMA_VERSION = 2
 
-#: CSV display scaling per metric: (header suffix, factor)
+#: Per metric: its cases.json key, and its CSV header suffix and display factor.
+#: Per flag: its short name in the CSV tables.
 _DISPLAY = {
-    "dsc": ("pct", 100.0),
-    "confidence": ("pct", 100.0),
-    "ece": ("x1e3", 1000.0),
-    "crps": ("cm3", 1.0),
+    "dsc": ("dsc", "pct", 100.0),
+    "confidence": ("c_seg", "pct", 100.0),
+    "ece": ("cece", "x1e3", 1000.0),
+    "crps": ("crps_cm3", "cm3", 1.0),
+    "empty_consensus_fg": "empty_fg",
+    "empty_consensus_bg": "empty_bg",
+    "sigma_zero": "sigma_zero",
 }
 
 
@@ -79,11 +83,7 @@ def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> Gro
         for m in METRIC_NAMES:
             vals = [v for v in (cm.metric_mean(m) for cm in items) if not math.isnan(v)]
             means[m] = float(mean_in_order(vals)) if vals else None
-        flags = {
-            "empty_consensus_fg": sum(sum(cm.empty_consensus_fg.values()) for cm in items),
-            "empty_consensus_bg": sum(sum(cm.empty_consensus_bg.values()) for cm in items),
-            "sigma_zero": sum(sum(cm.sigma_zero.values()) for cm in items),
-        }
+        flags = {f: sum(len(cm.flagged(f)) for cm in items) for f in FLAG_NAMES}
         rows.append(GroupRow(group, algorithm, len(items), means, flags))
     return GroupReport(tuple(rows))
 
@@ -124,8 +124,8 @@ def correlations(case_metrics: list[CaseMetrics], per_organ: bool = False) -> Co
     points: list[list[float]] = []
     if per_organ:
         for cm in case_metrics:
-            for c in cm.dsc:
-                row = [cm.dsc[c], cm.c_seg[c], cm.cece[c], cm.crps[c]]
+            for c in ORGAN_CLASSES:
+                row = [cm.per_class(m).get(c) for m in METRIC_NAMES]
                 if all(v is not None for v in row):
                     points.append([float(v) for v in row])
     else:
@@ -151,7 +151,7 @@ def correlations(case_metrics: list[CaseMetrics], per_organ: bool = False) -> Co
 
 
 def _scaled(metric: str, value: float | None) -> float | None:
-    return None if value is None else value * _DISPLAY[metric][1]
+    return None if value is None else value * _DISPLAY[metric][2]
 
 
 def _csv_cell(value) -> str:
@@ -174,10 +174,9 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _class_columns(metric_key: str) -> list[str]:
-    suffix = _DISPLAY[metric_key][0]
-    names = [CLASS_NAMES[c] for c in (1, 2, 3)]
-    return [f"{metric_key}_{suffix}_{n}" for n in names] + [f"{metric_key}_{suffix}_mean"]
+def _class_columns(metric: str) -> list[str]:
+    suffix = _DISPLAY[metric][1]
+    return [f"{metric}_{suffix}_{CLASS_NAMES[c]}" for c in ORGAN_CLASSES] + [f"{metric}_{suffix}_mean"]
 
 
 def case_record(cm: CaseMetrics, group: str) -> dict:
@@ -186,33 +185,16 @@ def case_record(cm: CaseMetrics, group: str) -> dict:
     def by_name(d):
         return {CLASS_NAMES[c]: d[c] for c in sorted(d)}
 
-    return {
-        "case_id": cm.case_id,
-        "algorithm": cm.algorithm,
-        "group": group,
-        "dsc": by_name(cm.dsc),
-        "c_seg": by_name(cm.c_seg),
-        "cece": by_name(cm.cece),
-        "crps_cm3": by_name(cm.crps),
-        "mean_dsc": cm.mean_dsc,
-        "mean_c_seg": cm.mean_c_seg,
-        "mean_cece": cm.mean_cece,
-        "mean_crps_cm3": cm.mean_crps,
-        "flags": {
-            "empty_consensus_fg": [CLASS_NAMES[c] for c, v in sorted(cm.empty_consensus_fg.items()) if v],
-            "empty_consensus_bg": [CLASS_NAMES[c] for c, v in sorted(cm.empty_consensus_bg.items()) if v],
-            "sigma_zero": [CLASS_NAMES[c] for c, v in sorted(cm.sigma_zero.items()) if v],
-        },
-    }
+    record = {"case_id": cm.case_id, "algorithm": cm.algorithm, "group": group}
+    for m in METRIC_NAMES:
+        key = _DISPLAY[m][0]
+        record[key] = by_name(cm.per_class(m))
+        record[f"mean_{key}"] = cm.mean(m)
+    record["flags"] = {f: [CLASS_NAMES[c] for c in cm.flagged(f)] for f in FLAG_NAMES}
+    return record
 
 
 def _case_rows(case_metrics: list[CaseMetrics], groups: dict[str, str]):
-    metric_dicts = {
-        "dsc": lambda cm: (cm.dsc, cm.mean_dsc),
-        "confidence": lambda cm: (cm.c_seg, cm.mean_c_seg),
-        "ece": lambda cm: (cm.cece, cm.mean_cece),
-        "crps": lambda cm: (cm.crps, cm.mean_crps),
-    }
     header = ["case_id", "algorithm", "group"]
     for m in METRIC_NAMES:
         header += _class_columns(m)
@@ -221,19 +203,9 @@ def _case_rows(case_metrics: list[CaseMetrics], groups: dict[str, str]):
     for cm in sorted(case_metrics, key=lambda x: (x.case_id, x.algorithm)):
         row: list = [cm.case_id, cm.algorithm, groups[cm.case_id]]
         for m in METRIC_NAMES:
-            per_class, mean = metric_dicts[m](cm)
-            for c in (1, 2, 3):
-                row.append(_scaled(m, per_class.get(c)))
-            row.append(_scaled(m, mean))
-        flags = []
-        for c in sorted(cm.dsc):
-            for flag_name, flag_map in (
-                ("empty_fg", cm.empty_consensus_fg),
-                ("empty_bg", cm.empty_consensus_bg),
-                ("sigma_zero", cm.sigma_zero),
-            ):
-                if flag_map.get(c):
-                    flags.append(f"{CLASS_NAMES[c]}:{flag_name}")
+            per_class = cm.per_class(m)
+            row += [_scaled(m, per_class.get(c)) for c in ORGAN_CLASSES] + [_scaled(m, cm.mean(m))]
+        flags = [f"{CLASS_NAMES[c]}:{_DISPLAY[f]}" for c in ORGAN_CLASSES for f in FLAG_NAMES if c in cm.flagged(f)]
         row.append(";".join(flags))
         rows.append(row)
     return header, rows
@@ -252,19 +224,7 @@ def ranking_records(table: RankingTable) -> list[dict]:
     return records
 
 
-RANKING_COLUMNS = [
-    "algorithm",
-    "dsc",
-    "dsc_rank",
-    "confidence",
-    "confidence_rank",
-    "ece",
-    "ece_rank",
-    "crps",
-    "crps_rank",
-    "composite",
-    "final_rank",
-]
+RANKING_COLUMNS = ["algorithm", *(c for m in METRIC_NAMES for c in (m, f"{m}_rank")), "composite", "final_rank"]
 
 
 def write_ranking(out: Path, table: RankingTable) -> list[Path]:
@@ -343,18 +303,13 @@ def emit(
     written += write_ranking(out, ranking)
 
     group_header = ["group", "algorithm", "n_cases"]
-    for m in METRIC_NAMES:
-        group_header.append(f"{m}_{_DISPLAY[m][0]}_mean")
-    group_header += ["flags_empty_fg", "flags_empty_bg", "flags_sigma_zero"]
+    group_header += [f"{m}_{_DISPLAY[m][1]}_mean" for m in METRIC_NAMES]
+    group_header += [f"flags_{_DISPLAY[f]}" for f in FLAG_NAMES]
     group_rows = []
     for g in groups.rows:
         row = [g.group, g.algorithm, g.n_cases]
         row += [_scaled(m, g.means[m]) for m in METRIC_NAMES]
-        row += [
-            g.flag_counts["empty_consensus_fg"],
-            g.flag_counts["empty_consensus_bg"],
-            g.flag_counts["sigma_zero"],
-        ]
+        row += [g.flag_counts[f] for f in FLAG_NAMES]
         group_rows.append(row)
     csv_path("groups.csv", group_header, group_rows)
     json_path(

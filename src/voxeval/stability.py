@@ -99,13 +99,6 @@ def bootstrap_ranks(
         raise ValidationError("no case metrics to bootstrap")
 
     algorithms, case_ids, values = case_table(case_metrics)
-    for metric, table in zip(METRIC_NAMES, values):
-        finite = np.isfinite(table.T)  # report the first fault by algorithm, then case
-        if not finite.all():
-            i, j = np.unravel_index(int(np.argmin(finite)), finite.shape)
-            raise ValidationError(
-                f"non-finite {metric} value for algorithm {algorithms[i]!r}, case {case_ids[j]!r}"
-            )
     idx = _resample_indices(len(case_ids), iterations, seed)
 
     stats: dict[str, dict[str, RankStats]] = {}

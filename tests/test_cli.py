@@ -116,7 +116,7 @@ EVERY_FLAG = [
 ]
 EVERY_FLAG_CONFIG = {
     "threshold": 0.3, "argmax_mode": True, "ece_bins": 7, "eq2_literal": True, "ece_per_class": True,
-    "ece_exclude_dissensus": True, "sigma_convention": "sample", "classes": [3, 1],
+    "ece_exclude_dissensus": True, "sigma_convention": "sample", "classes": [1, 3],
     "renormalize": True, "iterations": 7, "seed": 5, "group": "B", "skip_bad_cases": True,
     "parallel_cases": 2, "rank_per_case": True, "correlations_per_organ": True,
 }
@@ -181,6 +181,64 @@ def test_one_case_of_two_algorithms_writes_undefined_correlations_over_two_point
         "n_points": 2,
         "pooling": "case",
     }
+
+
+# The console-script dataset of CI with a third, blurred algorithm: its organ means round
+# differently when the classes are added in another order.
+SMALL_SPEC = {
+    "geometry": {"dims": [16, 16, 16], "spacing_mm": [1.0, 1.0, 1.5]},
+    "spheres": {
+        "pancreas": {"center": [4, 4, 4], "radius": 2},
+        "kidney": {"center": [11, 4, 4], "radius": 2},
+        "liver": {"center": [8, 11, 10], "radius": 3},
+    },
+    "rater_deltas": [-1, 0, 1],
+    "algorithms": {
+        "good": {"model": "perfect"},
+        "bad": {"model": "miscalibrated", "delta": 0.3},
+        "soft": {"model": "blurred", "sigma": 1.0},
+    },
+    "cases": 3,
+    "groups": ["A", "B", "C"],
+    "seed": 1,
+}
+
+
+def test_classes_order_changes_only_the_echoed_config(tmp_path):
+    assert main(["phantom", str(write_spec(tmp_path, SMALL_SPEC)), "--out", str(tmp_path / "data")]) == 0
+    args = ["evaluate", str(tmp_path / "data" / "manifest.json"), "--iterations", "20"]
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    assert main(args + ["--out", str(tmp_path / "permuted"), "--classes", "liver,kidney,pancreas"]) == 0
+    default, permuted = tree_hash(tmp_path / "default"), tree_hash(tmp_path / "permuted")
+    assert default.pop("run_meta.json") != permuted.pop("run_meta.json")
+    assert permuted == default
+    meta = json.loads((tmp_path / "permuted" / "run_meta.json").read_text())
+    assert meta["config"]["classes"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("scheme", [[], ["--rank-per-case"]], ids=["means", "per-case"])
+def test_undefined_case_confidence_is_exit_1_naming_metric_algorithm_and_case(tmp_path, capsys, scheme):
+    # In c0 only one of the two raters marks pancreas: its foreground consensus is empty, so the
+    # case has no pancreas confidence and no confidence mean under --classes pancreas.
+    from conftest import label_volume, one_hot_volume
+    from voxeval.nifti import write_nifti
+
+    cases = []
+    for case_id in ("c0", "c1", "c2"):
+        marked = np.zeros((8, 8, 8), dtype=np.uint8)
+        marked[2:5, 2:5, 2:5] = 1
+        raters = [label_volume(marked), label_volume(marked if case_id != "c0" else np.zeros_like(marked))]
+        paths = [tmp_path / f"{case_id}_r{i}.nii" for i in range(2)]
+        for rater, path in zip(raters, paths):
+            write_nifti(rater, path)
+        write_nifti(one_hot_volume(raters[0]), tmp_path / f"{case_id}_a.nii")
+        cases.append({"case_id": case_id, "group": "A", "rater_annotations": [p.name for p in paths],
+                      "algorithm_predictions": {"a": f"{case_id}_a.nii"}})
+    (tmp_path / "m.json").write_text(json.dumps({"cases": cases}))
+    args = ["evaluate", str(tmp_path / "m.json"), "--out", str(tmp_path / "o"), "--classes", "pancreas", *scheme]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: non-finite confidence value for algorithm 'a', case 'c0'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_corrupt_volume_aborts_with_exit_2(phantom_dir, tmp_path, capsys):

@@ -23,6 +23,7 @@ from voxeval.ranking import (
     rank_cases,
     rank_metric,
 )
+from voxeval.stability import bootstrap_ranks
 
 # Published seven-team leaderboard sample: means of the four metrics
 # (dice %, confidence %, calibration error x1e-3, volume CRPS cm^3).
@@ -287,26 +288,34 @@ def test_rank_cases_is_bit_identical_to_the_dict_reference(per_case_ranks):
 
 @pytest.mark.parametrize("per_case_ranks", [False, True], ids=["means", "per-case"])
 @pytest.mark.parametrize(
-    "faults",
+    "faults, named",
     [
-        [("c01", "a1", "confidence", math.nan)],
-        # the means scheme reports the first metric, the per-case scheme the first case
-        [("c02", "a0", "confidence", math.nan), ("c01", "a2", "crps", math.inf)],
+        ([("c01", "a1", "confidence", math.nan)], ("confidence", "a1", "c01")),
+        # both schemes and the bootstrap name the first fault by metric, then algorithm, then case
+        ([("c02", "a0", "confidence", math.nan), ("c01", "a2", "crps", math.inf)], ("confidence", "a0", "c02")),
+        (
+            [("c02", "a0", "confidence", math.nan), ("c01", "a2", "crps", math.inf),
+             ("c00", "a1", "confidence", -math.inf)],
+            ("confidence", "a0", "c02"),
+        ),
     ],
-    ids=["one", "two"],
+    ids=["one", "two", "three"],
 )
-def test_non_finite_value_is_reported_like_the_dict_reference(per_case_ranks, faults):
+def test_non_finite_value_is_reported_like_the_dict_reference(per_case_ranks, faults, named):
     cms = case_grid(3, 3, lambda: (0.5, 0.5, 0.1, 1.0))
     for case_id, algorithm, metric, value in faults:
         k = next(i for i, cm in enumerate(cms) if (cm.case_id, cm.algorithm) == (case_id, algorithm))
         row = dict(zip(METRIC_NAMES, (0.5, 0.5, 0.1, 1.0)), **{metric: value})
         cms[k] = make_case_metrics(case_id, algorithm, *row.values())
-    with pytest.raises(ValidationError) as want:
+    with pytest.raises(ValidationError):
         rank_cases_reference(cms, per_case_ranks)
+    message = "non-finite {} value for algorithm {!r}, case {!r}".format(*named)
     with pytest.raises(ValidationError) as got:
         rank_cases(cms, per_case_ranks)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("non-finite value ")
+    assert str(got.value) == message
+    with pytest.raises(ValidationError) as got:
+        bootstrap_ranks(cms, iterations=3)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("per_case_ranks", [False, True], ids=["means", "per-case"])
