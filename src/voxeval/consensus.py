@@ -137,7 +137,7 @@ def derive_regions(raters: list[LabelVolume], classes=ORGAN_CLASSES) -> Consensu
         code *= np.equal(r.voxels, raters[0].voxels, out=m)  # the unanimous bit survives where all agree
     unanimous = RegionView(code, UNANIMOUS_BIT, UNANIMOUS_BIT, int(np.count_nonzero(code)))
     per_class, rater_counts = {}, {}
-    for c in classes:
+    for c in sorted(set(classes)):  # in class-id order, as EvalConfig keeps its classes
         np.equal(raters[0].voxels, c, out=fg)
         np.copyto(any_c, fg)
         counts = [np.count_nonzero(fg)]

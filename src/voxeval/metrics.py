@@ -75,6 +75,8 @@ class EvalConfig:
             raise ParameterError(f"unknown sigma convention {self.sigma_convention!r}")
         if not self.classes or any(c not in ORGAN_CLASSES for c in self.classes):
             raise ParameterError(f"classes must be a non-empty subset of {ORGAN_CLASSES}")
+        # the organ means add the classes in this order, so every caller's order gives the same bits
+        object.__setattr__(self, "classes", tuple(sorted(set(self.classes))))
 
 
 def _block_total(block: np.ndarray) -> float:

@@ -296,7 +296,7 @@ def test_evaluate_case_calibration_matches_per_rater_reference(rng, n_raters, dt
                 )
                 include = unanimous if exclude else None
                 if per_class:
-                    expected = {c: float(np.mean(reference_values(c, literal, include))) for c in classes}
+                    expected = {c: float(np.mean(reference_values(c, literal, include))) for c in sorted(classes)}
                     expected_mean = mean_left_to_right(expected.values())
                 else:
                     values = reference_values(None, literal, include)
@@ -304,5 +304,5 @@ def test_evaluate_case_calibration_matches_per_rater_reference(rng, n_raters, dt
                     expected = {c: expected_mean for c in classes}
                 got = evaluate_case(pred, raters, config)
                 assert got.cece == expected
-                assert list(got.cece) == list(classes)
+                assert list(got.cece) == sorted(classes)
                 assert got.mean_cece == expected_mean

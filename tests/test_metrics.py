@@ -297,8 +297,8 @@ def test_case_confidence_is_the_confidence_scores_record(rng, classes):
     pred = random_probability_volume(rng, (7, 6, 5))
     cm = evaluate_case(pred, raters, EvalConfig(classes=classes), "c", "a")
     conf = confidence_scores(pred, derive_regions(raters, classes=classes))
-    expected = {c: conf.c_seg[c] for c in classes}
-    assert list(cm.c_seg) == list(classes)
+    expected = {c: conf.c_seg[c] for c in sorted(classes)}
+    assert list(cm.c_seg) == sorted(classes)
     assert cm.c_seg == expected
     defined = [v for v in expected.values() if v is not None]
     assert cm.mean_c_seg == (mean_left_to_right(defined) if defined else None)
@@ -354,3 +354,16 @@ def test_regions_for_other_classes_are_rejected(rng):
     pred = one_hot_volume(raters[0])
     with pytest.raises(ParameterError, match="case 'c', algorithm 'a': regions derived for classes"):
         evaluate_case(pred, raters, EvalConfig(classes=(1,)), "c", "a", regions=derive_regions(raters))
+
+
+def test_classes_are_sorted_so_their_order_gives_the_same_bits():
+    assert EvalConfig(classes=(3, 2, 1)).classes == (1, 2, 3)
+    assert EvalConfig(classes=(3, 1, 3)).classes == (1, 3)
+    r = np.random.default_rng(0)  # unsorted, the organ means of this case differed in the last bit (mean_crps)
+    raters = [label_volume(r.integers(0, 4, size=(6, 6, 6)).astype(np.uint8)) for _ in range(3)]
+    pred = random_probability_volume(r, (6, 6, 6))
+    unsorted = evaluate_case(pred, raters, EvalConfig(classes=(3, 2, 1)))
+    assert unsorted == evaluate_case(pred, raters, EvalConfig(classes=(1, 2, 3)))
+    assert list(unsorted.crps) == [1, 2, 3]
+    regions = derive_regions(raters, classes=(3, 2, 1))  # regions derived in any order still fit
+    assert evaluate_case(pred, raters, EvalConfig(classes=(2, 3, 1)), regions=regions) == unsorted
