@@ -12,7 +12,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
 3 metric computation error, 4 out of memory while a case was read or
-evaluated. Input files are never modified.
+evaluated, or a case worker process died. Input files are never modified.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import csv
 import json
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -76,6 +76,14 @@ class RunConfig(EvalConfig):
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.parallel_cases < 1:
             raise ValidationError(f"parallel-cases must be >= 1, got {self.parallel_cases}")
+        if self.parallel_cases > 1:
+            import multiprocessing  # here, like the pool: a serial run loads no process machinery
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ValidationError(
+                    f"parallel-cases {self.parallel_cases} needs the 'fork' process start method, "
+                    "which this platform does not have; use --parallel-cases 1"
+                )
         try:
             super().__post_init__()
         except ParameterError as exc:
@@ -95,7 +103,7 @@ def _parse_classes(text: str) -> tuple[int, ...]:
             raise ValidationError(
                 f"unknown class {token!r}; use ids {ORGAN_CLASSES} or names {sorted(ids_by_name)}"
             )
-    return tuple(sorted(set(out)))  # the organ means add the classes in this order
+    return tuple(out)
 
 
 def _load_label(path) -> LabelVolume:
@@ -146,16 +154,42 @@ def _case_metrics(entry, config: RunConfig, eval_cfg: EvalConfig) -> list[CaseMe
         raise ResourceError(f"{where}: out of memory reading or evaluating {path}") from exc
 
 
+def _evaluate_cases(cases, config: RunConfig, eval_cfg: EvalConfig) -> list:
+    """_evaluate_one_case of every case, in case order, on up to ``parallel_cases`` forked workers.
+
+    Each worker holds one case at a time. A VoxevalError from a worker keeps
+    its type and message, and the first one in case order is raised, as in
+    a serial run. A worker that dies (the out-of-memory killer, a crash) is
+    a ResourceError naming the cases whose results did not come back.
+    """
+    workers = min(config.parallel_cases, len(cases))
+    if workers <= 1:
+        return [_evaluate_one_case(e, config, eval_cfg) for e in cases]
+    import multiprocessing  # imported here so that a serial run loads no process machinery (about 1 MiB)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a worker starts without importing numpy again. The only
+    # other threads are OpenBLAS's idle pool, which its own fork handler stops.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        with warnings.catch_warnings():  # Python >= 3.12 warns on fork with any other thread alive
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            futures = [pool.submit(_evaluate_one_case, e, config, eval_cfg) for e in cases]
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            lost = [e.case_id for e, f in zip(cases, futures) if isinstance(f.exception(), BrokenProcessPool)]
+            raise ResourceError(
+                f"a case worker process died (killed out of memory?) before returning cases {', '.join(map(repr, lost))}"
+            ) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, start no case still queued
+
+
 def run_evaluate(config: RunConfig) -> int:
     manifest = load_manifest(config.manifest).filtered(config.group)
-    eval_cfg = config.eval_config()
-
-    results = []
-    if config.parallel_cases > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_cases) as pool:
-            results = list(pool.map(lambda e: _evaluate_one_case(e, config, eval_cfg), manifest.cases))
-    else:
-        results = [_evaluate_one_case(e, config, eval_cfg) for e in manifest.cases]
+    results = _evaluate_cases(manifest.cases, config, config.eval_config())
 
     case_metrics: list[CaseMetrics] = []
     skipped: list[dict] = []
@@ -309,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--group", choices=["A", "B", "C"], help="restrict to one clinical group")
     ev.add_argument("--classes", help="comma-separated organ subset")
     ev.add_argument("--skip-bad-cases", action="store_true", help="skip unreadable cases instead of aborting")
-    ev.add_argument("--parallel-cases", type=int, metavar="N", help="evaluate N cases concurrently")
+    ev.add_argument("--parallel-cases", type=int, metavar="N", help="evaluate N cases at once, in forked worker processes")
     ev.add_argument("--rank-per-case", action="store_true", help="average within-case ranks instead of ranking case means")
     ev.add_argument("--correlations-per-organ", action="store_true", help="pool per-organ points for the correlation matrix")
 

@@ -46,4 +46,4 @@ class ParameterError(MetricError):
 
 
 class ResourceError(VoxevalError):
-    """Reading or evaluating a case ran out of memory."""
+    """Reading or evaluating a case ran out of memory, or its worker process died."""

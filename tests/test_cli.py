@@ -507,15 +507,69 @@ def test_rater_grid_mismatch_names_the_case_and_both_raters(phantom_dir, tmp_pat
     assert skipped[0]["reason"].startswith(message)
 
 
+def test_a_case_error_ends_alike_in_forked_workers(phantom_dir, tmp_path, capsys):
+    from voxeval.grid import GridGeometry, LabelVolume
+    from voxeval.nifti import write_nifti
+
+    victim = phantom_dir / "volumes" / "case_002_rater_2.nii.gz"  # the rater grid mismatch above
+    write_nifti(LabelVolume(GridGeometry((28, 28, 27), (1, 1, 1)), np.zeros((28, 28, 27), np.uint8)), victim)
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5"]
+    errors, skipped = [], []
+    for n in ("1", "2"):
+        assert main(args + ["--out", str(tmp_path / f"r{n}"), "--parallel-cases", n]) == 3
+        errors.append(capsys.readouterr().err)
+        assert main(args + ["--out", str(tmp_path / f"s{n}"), "--parallel-cases", n, "--skip-bad-cases"]) == 0
+        skipped.append(json.loads((tmp_path / f"s{n}" / "run_meta.json").read_text())["skipped_cases"])
+    assert errors[0].startswith("error: case 'case_002': grid mismatch (rater 0 vs rater 1)")
+    assert errors[1] == errors[0]
+    assert [s["case_id"] for s in skipped[0]] == ["case_002"]
+    assert skipped[1] == skipped[0]
+
+
+def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tmp_path, monkeypatch, capsys):
+    from voxeval import cli
+
+    real_case_metrics = cli._case_metrics
+
+    def dying_case_metrics(entry, config, eval_cfg):
+        if entry.case_id == "case_002":
+            os._exit(1)  # as the out-of-memory killer ends a worker: no exception, no result
+        return real_case_metrics(entry, config, eval_cfg)
+
+    monkeypatch.setattr(cli, "_case_metrics", dying_case_metrics)  # the forked workers inherit the patch
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--parallel-cases", "2"]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: a case worker process died") and err.count("\n") == 1
+    assert "'case_002'" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_parallel_cases_without_fork_is_exit_1(phantom_dir, tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--out", str(tmp_path / "r")]
+    assert main(args + ["--parallel-cases", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: parallel-cases 2 needs the 'fork' process start method, "
+        "which this platform does not have; use --parallel-cases 1\n"
+    )
+    assert not (tmp_path / "r").exists()
+    assert main(args + ["--parallel-cases", "1", "--iterations", "5"]) == 0
+
+
 @pytest.mark.parametrize("parallel_cases", ["1", "2"])
 def test_regions_are_derived_once_per_case(tmp_path, monkeypatch, parallel_cases):
     from voxeval import consensus, metrics
 
     assert main(["phantom", str(write_spec(tmp_path, dict(PHANTOM_SPEC, cases=2))), "--out", str(tmp_path / "data")]) == 0
-    calls = []
+    calls = tmp_path / "calls"  # a file, not a list: forked case workers do not share the parent's memory
+    calls.touch()
 
     def counting_derive_regions(*args, **kwargs):
-        calls.append(1)
+        with open(calls, "a") as f:
+            f.write("call\n")
         return consensus.derive_regions(*args, **kwargs)
 
     for module in (voxeval.cli, metrics):
@@ -525,7 +579,7 @@ def test_regions_are_derived_once_per_case(tmp_path, monkeypatch, parallel_cases
     assert main(args + ["--parallel-cases", parallel_cases]) == 0
     with open(tmp_path / "r" / "cases.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == 2 * 3  # 2 cases x 3 algorithms
-    assert len(calls) == 2
+    assert len(calls.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("stage", ["rater read", "prediction read", "evaluation"])
