@@ -120,17 +120,17 @@ def _load_probability(path, renormalize: bool) -> ProbabilityVolume:
     return v
 
 
-def _evaluate_one_case(entry, config: RunConfig, eval_cfg: EvalConfig):
+def _evaluate_one_case(entry, config: RunConfig):
     """-> ("ok", [CaseMetrics]) or ("skip", case_id, message)."""
     try:
-        return ("ok", _case_metrics(entry, config, eval_cfg))
+        return ("ok", _case_metrics(entry, config))
     except VoxevalError as exc:
         if config.skip_bad_cases:
             return ("skip", entry.case_id, str(exc))
         raise
 
 
-def _case_metrics(entry, config: RunConfig, eval_cfg: EvalConfig) -> list[CaseMetrics]:
+def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
     """Every algorithm's metrics for one case; running out of memory is a ResourceError."""
     where, path = f"case {entry.case_id!r}", None
     try:
@@ -139,7 +139,7 @@ def _case_metrics(entry, config: RunConfig, eval_cfg: EvalConfig) -> list[CaseMe
             raters.append(_load_label(path))
         path = ", ".join(str(p) for p in entry.rater_annotations)
         try:  # the regions depend on the raters only, so every algorithm of the case shares them
-            regions = derive_regions(raters, classes=eval_cfg.classes)
+            regions = derive_regions(raters, classes=config.classes)
         except MetricError as exc:
             raise type(exc)(f"{where}: {exc}") from exc
         del raters  # the regions hold the labels, packed: drop the label maps before any prediction is decoded
@@ -147,24 +147,22 @@ def _case_metrics(entry, config: RunConfig, eval_cfg: EvalConfig) -> list[CaseMe
         for name in sorted(entry.algorithm_predictions):
             where, path = f"case {entry.case_id!r}, algorithm {name!r}", entry.algorithm_predictions[name]
             pred = _load_probability(path, config.renormalize)
-            out.append(evaluate_case(pred, (), eval_cfg, entry.case_id, name, regions))
+            out.append(evaluate_case(pred, (), config, entry.case_id, name, regions))
             del pred  # free this prediction before the next one is decoded
         return out
     except MemoryError as exc:
         raise ResourceError(f"{where}: out of memory reading or evaluating {path}") from exc
 
 
-def _evaluate_cases(cases, config: RunConfig, eval_cfg: EvalConfig) -> list:
-    """_evaluate_one_case of every case, in case order, on up to ``parallel_cases`` forked workers.
+def _evaluate_cases(cases, config: RunConfig, workers: int) -> list:
+    """_evaluate_one_case of every case, in case order, on ``workers`` forked processes.
 
-    Each worker holds one case at a time. A VoxevalError from a worker keeps
-    its type and message, and the first one in case order is raised, as in
-    a serial run. A worker that dies (the out-of-memory killer, a crash) is
-    a ResourceError naming the cases whose results did not come back.
+    Each holds one case at a time. A VoxevalError keeps its type and message,
+    and the first in case order is raised, as serially. A worker that dies
+    (the out-of-memory killer, a crash) loses every case in flight: that is a
+    ResourceError naming them, or under ``skip_bad_cases`` each runs again
+    alone in a fresh one-worker pool and is skipped only if that worker dies too.
     """
-    workers = min(config.parallel_cases, len(cases))
-    if workers <= 1:
-        return [_evaluate_one_case(e, config, eval_cfg) for e in cases]
     import multiprocessing  # imported here so that a serial run loads no process machinery (about 1 MiB)
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -175,21 +173,28 @@ def _evaluate_cases(cases, config: RunConfig, eval_cfg: EvalConfig) -> list:
     try:
         with warnings.catch_warnings():  # Python >= 3.12 warns on fork with any other thread alive
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-            futures = [pool.submit(_evaluate_one_case, e, config, eval_cfg) for e in cases]
+            futures = [pool.submit(_evaluate_one_case, e, config) for e in cases]
         try:
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:
-            lost = [e.case_id for e, f in zip(cases, futures) if isinstance(f.exception(), BrokenProcessPool)]
-            raise ResourceError(
-                f"a case worker process died (killed out of memory?) before returning cases {', '.join(map(repr, lost))}"
-            ) from exc
+            lost = [isinstance(f.exception(), BrokenProcessPool) for f in futures]
+            if not config.skip_bad_cases:
+                names = ", ".join(repr(e.case_id) for e, gone in zip(cases, lost) if gone)
+                raise ResourceError(f"a case worker process died (killed out of memory?) before returning cases {names}") from exc
     finally:
         pool.shutdown(cancel_futures=True)  # after an error, start no case still queued
+    if workers == 1:  # the one case, run again alone, killed its worker too
+        return [("skip", cases[0].case_id, f"case {cases[0].case_id!r}: its worker died again, running alone (out of memory?)")]
+    return [_evaluate_cases([e], config, 1)[0] if gone else f.result() for e, f, gone in zip(cases, futures, lost)]
 
 
 def run_evaluate(config: RunConfig) -> int:
     manifest = load_manifest(config.manifest).filtered(config.group)
-    results = _evaluate_cases(manifest.cases, config, config.eval_config())
+    workers = min(config.parallel_cases, len(manifest.cases))
+    if workers > 1:
+        results = _evaluate_cases(manifest.cases, config, workers)
+    else:
+        results = [_evaluate_one_case(e, config) for e in manifest.cases]
 
     case_metrics: list[CaseMetrics] = []
     skipped: list[dict] = []

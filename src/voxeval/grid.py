@@ -10,10 +10,10 @@ CHUNK_VOXELS voxels (:func:`chunk_bounds`), so their working memory does
 not grow with the grid. Channel-sum validation is one such sweep: each
 chunk checks its float64 channel sums, their finiteness, the channel
 minimum and maximum and the worst |sum - 1|, and renormalization divides
-each chunk, once checked, into an output array: a fresh one for
-:func:`validate_probability_sums`, the decoded array itself for the
-readers. Only when a chunk fails is the whole array rescanned, again chunk
-by chunk, to name the offending channel and voxel.
+each chunk, once checked, in place: the readers divide the array they
+decoded, :func:`validate_probability_sums` a copy of its input. Only when
+a chunk fails is the whole array rescanned, again chunk by chunk, to name
+the offending channel and voxel.
 """
 
 import math
@@ -147,24 +147,24 @@ def validate_probability_sums(channels: np.ndarray, renormalize: bool = False) -
     non-finite values, the first zero-sum voxel and the first voxel whose
     sum is not finite in the channel dtype (see :func:`check_channel_sums`).
     """
-    out = np.empty(channels.shape, channels.dtype) if renormalize else None
-    check_channel_sums(channels, out)
-    return channels if out is None else out
+    if renormalize:
+        channels = np.array(channels, order="C")  # divided in place below: the input stays as it was
+    check_channel_sums(channels, renormalize)
+    return channels
 
 
-def check_channel_sums(channels: np.ndarray, out: np.ndarray | None = None) -> None:
-    """Check ``channels`` chunk by chunk; with ``out``, renormalize into it.
+def check_channel_sums(channels: np.ndarray, renormalize: bool) -> None:
+    """Check ``channels`` chunk by chunk; with ``renormalize``, divide each checked
+    chunk in place (``channels`` must then be a writable C-contiguous array).
 
-    ``out`` is a C-contiguous array of the same shape and dtype, or
-    ``channels`` itself to renormalize in place. Each chunk is checked
-    before it is divided, so when a chunk fails every earlier chunk, divided
-    or not, still passes every check, and :func:`_diagnose_probability_sums`
-    names the same first fault as it would on the undivided array.
+    A divided voxel is finite, non-negative and sums to about one, so when a
+    chunk fails every earlier one still passes every check, and
+    :func:`_diagnose_probability_sums` names the fault of the failed chunk or
+    a later, undivided one, as it would on the undivided array.
     """
     flat = channels.reshape(channels.shape[0], -1)
-    dst = None if out is None else out.reshape(flat.shape)
     sums_buffer = np.empty(min(CHUNK_VOXELS, flat.shape[1]))  # reused by every chunk
-    divisors_buffer = None if dst is None else np.empty_like(sums_buffer, dtype=channels.dtype)
+    divisors_buffer = np.empty_like(sums_buffer, dtype=channels.dtype) if renormalize else None
     for start, stop in chunk_bounds(flat.shape[1]):
         chunk, sums = flat[:, start:stop], sums_buffer[: stop - start]
         with np.errstate(over="ignore"):  # finite float64 channels may overflow their sum: failed below
@@ -172,17 +172,17 @@ def check_channel_sums(channels: np.ndarray, out: np.ndarray | None = None) -> N
         lo, hi = sums.min(), sums.max()
         # A non-finite channel value makes its voxel's float64 sum, so lo or hi, non-finite.
         failed = not (math.isfinite(lo) and math.isfinite(hi)) or chunk.min() < 0.0
-        if dst is not None:
+        if renormalize:
             divisors = divisors_buffer[: stop - start]
             with np.errstate(over="ignore"):  # so may a float64 sum cast to the channel dtype
                 divisors[...] = sums
             failed = failed or lo <= 0 or not math.isfinite(divisors.max())
             if not failed:
-                np.divide(chunk, divisors, out=dst[:, start:stop])
+                np.divide(chunk, divisors, out=chunk)
         else:  # |sum - 1| is largest at the smallest or the largest sum
             failed = failed or chunk.max() > 1.0 or max(hi - 1.0, 1.0 - lo) > CHANNEL_SUM_TOLERANCE
         if failed:
-            _diagnose_probability_sums(channels, renormalize=dst is not None)
+            _diagnose_probability_sums(channels, renormalize)
 
 
 def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> None:

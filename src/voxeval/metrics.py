@@ -46,7 +46,9 @@ SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Values per pairwise-summed block of compensated_sum.
+#: Values per block of a channel sum over the grid or a region: each block, in grid order,
+#: is summed in float64 by np.sum (pairwise) and math.fsum adds the block totals exactly,
+#: so 1e8-voxel volumes do not drift and every chunk size gives the same bits.
 SUM_BLOCK = 1 << 20
 
 
@@ -71,12 +73,16 @@ class EvalConfig:
             raise ParameterError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ece_bins < 2:
             raise ParameterError(f"ece_bins must be >= 2, got {self.ece_bins}")
-        if self.sigma_convention not in ("population", "sample"):
-            raise ParameterError(f"unknown sigma convention {self.sigma_convention!r}")
+        _require_sigma_convention(self.sigma_convention)
         if not self.classes or any(c not in ORGAN_CLASSES for c in self.classes):
             raise ParameterError(f"classes must be a non-empty subset of {ORGAN_CLASSES}")
         # the organ means add the classes in this order, so every caller's order gives the same bits
         object.__setattr__(self, "classes", tuple(sorted(set(self.classes))))
+
+
+def _require_sigma_convention(convention: str) -> None:
+    if convention not in ("population", "sample"):
+        raise ParameterError(f"unknown sigma convention {convention!r}")
 
 
 def _block_total(block: np.ndarray) -> float:
@@ -84,14 +90,13 @@ def _block_total(block: np.ndarray) -> float:
 
 
 class _RegionSum:
-    """compensated_sum of one channel over one consensus region, fed chunk by chunk.
+    """The SUM_BLOCK sum of one channel over one consensus region, fed chunk by chunk.
 
     The open block is recorded as the grid spans of the chunks that hold its
     values, not as the values. It is gathered into one block-sized array
     only when it closes, full or holding the region's last voxel, and then
-    summed as compensated_sum sums a block, so the total equals
-    compensated_sum of the region's values bit for bit while at most one
-    block and one chunk are held.
+    summed, so the total is the region's SUM_BLOCK sum bit for bit while at
+    most one block and one chunk are held.
     """
 
     def __init__(self, values: np.ndarray, view: RegionView):
@@ -134,17 +139,6 @@ class _RegionSum:
 
     def total(self) -> float:
         return math.fsum(self._totals)
-
-
-def compensated_sum(values: np.ndarray) -> float:
-    """Sum with error-free combination of pairwise-summed blocks.
-
-    Large float32 maps are summed block-wise in float64 (numpy's pairwise
-    reduction) and the block totals combined exactly with math.fsum, so
-    1e8-voxel volumes do not drift.
-    """
-    flat = np.asarray(values).reshape(-1)
-    return math.fsum(_block_total(flat[i : i + SUM_BLOCK]) for i in range(0, flat.size, SUM_BLOCK))
 
 
 def mean_in_order(rows):
@@ -257,7 +251,7 @@ class _PassStatistics:
     fp: dict[int, int]
     fg_sum: dict[int, _RegionSum]
     bg_sum: dict[int, _RegionSum]
-    volume: dict[int, list[float]]  # compensated_sum's block totals
+    volume: dict[int, list[float]]  # the SUM_BLOCK totals of each class channel
     binning: dict[int | None, _Binning]
 
 
@@ -284,7 +278,7 @@ def _one_pass(
     volume=(),
     calibrate=(),
     bins: int = 10,
-    include: np.ndarray | RegionView | None = None,
+    include: RegionView | None = None,
 ) -> _PassStatistics:
     """Walk the prediction once, chunk by chunk, gathering the requested statistics.
 
@@ -297,16 +291,13 @@ def _one_pass(
       multiclass (confidence = max softmax probability, predicted = argmax
       class), a class id is one-vs-rest (confidence = max(p, 1 - p),
       predicted = p >= 0.5). A voxel is correct when predicted matches the
-      rater. ``include`` (a grid-shaped boolean mask or a region view)
+      rater. ``include``, a region view over a code of the grid's size,
       restricts the calibrated voxels.
     """
     channels = pred.channels.reshape(N_CHANNELS, -1)
     code = None if regions is None else regions.code.reshape(-1)
+    include_code = None if include is None else include.code.reshape(-1)
     n_raters = 0 if labels is None else labels.n_raters
-    if include is not None and not isinstance(include, RegionView):
-        include = np.asarray(include, dtype=bool).reshape(-1)
-        if include.size != channels.shape[1]:
-            raise ParameterError(f"include mask has {include.size} voxels, the grid {channels.shape[1]}")
     stats = _PassStatistics(
         tp=dict.fromkeys(dice, 0),
         fp=dict.fromkeys(dice, 0),
@@ -337,12 +328,7 @@ def _one_pass(
             for c, totals in stats.volume.items():
                 totals.append(_block_total(channels[c, block]))  # a view: no copy
             volume_fed = block.stop
-        if include is None:
-            sel = None
-        elif isinstance(include, RegionView):
-            sel = include.selects(codes)
-        else:
-            sel = include[start:stop]
+        sel = None if include is None else include.selects(include_code[start:stop])
         truths = [labels.rater(r, start, stop) for r in range(n_raters)]
         for target, binning in stats.binning.items():
             if target is None:
@@ -422,6 +408,11 @@ def _calibrate(pred, raters, class_id, bins, literal, include) -> list[Calibrati
         raise ParameterError(f"bin count must be >= 2, got {bins}")
     for r in raters:
         require_same_grid(pred.geometry, r.geometry, "prediction vs rater")
+    if include is not None:  # a boolean mask, as the code of a one-bit region view
+        mask = np.asarray(include, dtype=bool).reshape(-1)
+        if mask.size != pred.geometry.n_voxels:
+            raise ParameterError(f"include mask has {mask.size} voxels, the grid {pred.geometry.n_voxels}")
+        include = RegionView(mask.view(np.uint8), 1, 1, int(np.count_nonzero(mask)))
     stats = _one_pass(pred, labels=pack_labels(raters), calibrate=(class_id,), bins=bins, include=include)
     return stats.binning[class_id].results(literal)
 
@@ -464,7 +455,7 @@ def cece_multirater(
 
 def predicted_volume(pred: ProbabilityVolume, class_id: int) -> float:
     """Probability-summed volume in cm^3; no thresholding."""
-    return pred.geometry.voxel_volume_cm3 * compensated_sum(pred.channels[class_id])
+    return pred.geometry.voxel_volume_cm3 * math.fsum(_one_pass(pred, volume=(class_id,)).volume[class_id])
 
 
 @dataclass(frozen=True)
@@ -483,12 +474,14 @@ def rater_volume_distribution(
 
     sigma uses the population convention (divide by R) by default: the
     raters are the whole rater population for a case. 'sample' switches
-    to the R-1 divisor (a single rater then yields sigma = 0).
+    to the R-1 divisor (a single rater then yields sigma = 0); any other
+    convention is a ParameterError.
 
     Statistics run on the integer voxel counts and are scaled to cm^3
     afterwards, so unanimous raters give sigma exactly 0 and a mean that
     bit-matches an exact prediction's probability-summed volume.
     """
+    _require_sigma_convention(convention)
     geometry = raters[0].geometry
     for i, r in enumerate(raters[1:], start=1):
         require_same_grid(geometry, r.geometry, f"rater 0 vs rater {i}")

@@ -386,7 +386,7 @@ def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
 def _as_probability(arr: np.ndarray, geometry: GridGeometry, renormalize: bool) -> ProbabilityVolume:
     """The probability map of a decoded, float-typed 4D volume, checked, and renormalized
     in place if asked: the reader owns ``arr`` until ProbabilityVolume freezes it."""
-    check_channel_sums(arr, arr if renormalize else None)
+    check_channel_sums(arr, renormalize)
     return ProbabilityVolume(geometry, arr)
 
 

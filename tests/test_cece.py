@@ -167,6 +167,32 @@ def test_include_mask_restricts_evaluation(rng):
     assert full.n_evaluated == 64
 
 
+def test_include_mask_of_any_shape_with_the_grids_size(rng):
+    dims = (4, 5, 3)
+    pred = random_probability_volume(rng, dims)
+    raters = [label_volume(random_label_array(rng, dims)) for _ in range(2)]
+    include = rng.random(dims) < 0.5
+    for flat in (include.reshape(-1), include.reshape(6, 10), include.astype(np.uint8)):
+        assert_same_bins(cece(pred, raters[0], 10, include=flat), cece(pred, raters[0], 10, include=include))
+        assert_same_bins(cece_binary(pred, raters[0], 2, 7, include=flat), cece_binary(pred, raters[0], 2, 7, include=include))
+        assert cece_multirater(pred, raters, 10, include=flat) == cece_multirater(pred, raters, 10, include=include)
+
+
+def test_include_mask_of_another_size_is_rejected(rng):
+    dims = (4, 4, 4)
+    pred = random_probability_volume(rng, dims)
+    raters = [label_volume(random_label_array(rng, dims)) for _ in range(2)]
+    message = "include mask has 48 voxels, the grid 64"
+    for include in (np.ones((4, 4, 3), dtype=bool), np.ones(48, dtype=bool)):
+        with pytest.raises(ParameterError) as raised:
+            cece(pred, raters[0], 10, include=include)
+        assert str(raised.value) == message
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            cece_binary(pred, raters[0], 1, 10, include=include)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            cece_multirater(pred, raters, 10, include=include)
+
+
 def test_binary_mode_per_class(rng):
     dims = (5, 5, 5)
     labels = label_volume(random_label_array(rng, dims))

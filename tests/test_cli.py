@@ -264,13 +264,21 @@ def test_skip_bad_cases_records_the_skip(phantom_dir, tmp_path):
         assert {r["case_id"] for r in csv.DictReader(f)} == {"case_001", "case_003"}
 
 
-def test_parallel_evaluation_matches_serial(phantom_dir, tmp_path):
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--ece-per-class", "--ece-exclude-dissensus", "--argmax", "--renormalize"]],
+    ids=["default", "variants"],
+)
+def test_parallel_evaluation_matches_serial(phantom_dir, tmp_path, flags):
     serial, parallel = tmp_path / "s", tmp_path / "p"
-    base = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "15"]
+    base = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "15", *flags]
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--out", str(parallel), "--parallel-cases", "3"]) == 0
-    for name in ("cases.csv", "ranking.csv", "bootstrap.csv", "bubbles.csv"):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    artifacts = {p.name for p in serial.iterdir()} - {"run_meta.json"}
+    assert artifacts == {p.name for p in parallel.iterdir()} - {"run_meta.json"}
+    assert len(artifacts) >= 9
+    for name in sorted(artifacts):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_evaluate_validation_errors(tmp_path, phantom_dir, capsys):
@@ -531,10 +539,10 @@ def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tm
 
     real_case_metrics = cli._case_metrics
 
-    def dying_case_metrics(entry, config, eval_cfg):
+    def dying_case_metrics(entry, config):
         if entry.case_id == "case_002":
             os._exit(1)  # as the out-of-memory killer ends a worker: no exception, no result
-        return real_case_metrics(entry, config, eval_cfg)
+        return real_case_metrics(entry, config)
 
     monkeypatch.setattr(cli, "_case_metrics", dying_case_metrics)  # the forked workers inherit the patch
     args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--parallel-cases", "2"]
@@ -543,6 +551,43 @@ def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tm
     assert err.startswith("error: a case worker process died") and err.count("\n") == 1
     assert "'case_002'" in err and "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_under_skip_bad_cases_only_the_case_whose_worker_dies_alone_is_skipped(phantom_dir, tmp_path, monkeypatch):
+    from voxeval import cli
+
+    real_case_metrics = cli._case_metrics
+    started = tmp_path / "started"  # a file, not a list: forked case workers do not share the parent's memory
+    started.touch()
+
+    def dying_case_metrics(entry, config):
+        with open(started, "a") as f:
+            f.write(entry.case_id + "\n")
+        if entry.case_id == "case_002":
+            os._exit(1)  # as the out-of-memory killer ends a worker: no exception, no result
+        return real_case_metrics(entry, config)
+
+    monkeypatch.setattr(cli, "_case_metrics", dying_case_metrics)
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--skip-bad-cases"]
+    assert main(args + ["--out", str(tmp_path / "r"), "--parallel-cases", "2"]) == 0
+    skipped = json.loads((tmp_path / "r" / "run_meta.json").read_text())["skipped_cases"]
+    assert skipped == [
+        {
+            "case_id": "case_002",
+            "reason": "case 'case_002': its worker died again, running alone (out of memory?)",
+        }
+    ]
+    assert started.read_text().splitlines().count("case_002") == 2  # once in the pool, once alone
+    with open(tmp_path / "r" / "cases.csv", newline="") as f:
+        assert sorted({row["case_id"] for row in csv.DictReader(f)}) == ["case_001", "case_003"]
+    # the retried cases give the bytes a run without the dead case gives
+    monkeypatch.setattr(cli, "_case_metrics", real_case_metrics)
+    manifest = json.loads((phantom_dir / "manifest.json").read_text())
+    manifest["cases"] = [c for c in manifest["cases"] if c["case_id"] != "case_002"]
+    (phantom_dir / "without.json").write_text(json.dumps(manifest))
+    assert main(["evaluate", str(phantom_dir / "without.json"), "--iterations", "5", "--out", str(tmp_path / "w")]) == 0
+    for name in ("cases.csv", "ranking.csv", "bootstrap.csv"):
+        assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "w" / name).read_bytes(), name
 
 
 def test_parallel_cases_without_fork_is_exit_1(phantom_dir, tmp_path, monkeypatch, capsys):
@@ -640,7 +685,7 @@ def test_a_case_holds_its_prediction_region_code_and_packed_labels(tmp_path, mon
     monkeypatch.setattr(metrics, "SUM_BLOCK", 1 << 14)
     tracemalloc.start()
     try:
-        cli._case_metrics(entry, config, config.eval_config())
+        cli._case_metrics(entry, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compensated_sum_reference,
     dsc_by_voxel_loop,
     geom,
     label_volume,
@@ -21,7 +22,6 @@ from voxeval.grid import GridGeometry, ProbabilityVolume
 from voxeval.metrics import (
     EvalConfig,
     VolumeDistribution,
-    compensated_sum,
     confidence_scores,
     crps_gaussian,
     dsc_consensus,
@@ -222,10 +222,15 @@ def test_predicted_volume_matches_fsum_oracle(rng):
     assert math.isclose(got, expected, rel_tol=1e-9)
 
 
-def test_compensated_sum_handles_large_float32(rng):
-    values = np.full(2_000_001, 0.1, dtype=np.float32)
+def test_predicted_volume_handles_large_float32():
+    # 2_000_001 values of float32(0.1) in channel 1, on 1 cm^3 voxels: a full 2^20-value sum block and a partial one
+    channels = np.zeros((4, 666_667, 3, 1), dtype=np.float32)
+    channels[1] = 0.1
+    pred = ProbabilityVolume(GridGeometry((666_667, 3, 1), (10.0, 10.0, 10.0)), channels)
     exact = 2_000_001 * float(np.float32(0.1))
-    assert math.isclose(compensated_sum(values), exact, rel_tol=1e-12)
+    got = predicted_volume(pred, 1)
+    assert math.isclose(got, exact, rel_tol=1e-12)
+    assert got == compensated_sum_reference(channels[1])
 
 
 def label_with_n_voxels(n, dims=(30, 30, 30), class_id=1):
@@ -250,6 +255,17 @@ def test_rater_volume_distribution_conventions():
     single = [label_with_n_voxels(7)]
     mu, sigma, _ = rater_volume_distribution(single, 1)
     assert (mu, sigma) == (7.0, 0.0)
+
+
+@pytest.mark.parametrize("convention", ["Sample", "bogus", ""])
+def test_rater_volume_distribution_rejects_an_unknown_convention(convention):
+    spread = [label_with_n_voxels(n) for n in (9, 10, 11)]
+    with pytest.raises(ParameterError) as raised:
+        rater_volume_distribution(spread, 1, convention=convention)
+    assert str(raised.value) == f"unknown sigma convention {convention!r}"
+    with pytest.raises(ParameterError) as raised_by_config:
+        EvalConfig(sigma_convention=convention)
+    assert str(raised_by_config.value) == str(raised.value)
 
 
 def test_evaluate_case_attaches_context_on_geometry_mismatch(rng):

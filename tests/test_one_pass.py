@@ -38,7 +38,6 @@ from voxeval.metrics import (
     cece,
     cece_binary,
     cece_multirater,
-    compensated_sum,
     confidence_scores,
     crps_gaussian,
     dsc_consensus,
@@ -167,7 +166,6 @@ def test_evaluate_case_matches_the_oracles_at_any_chunk_size(
         for c in classes:
             assert dsc_consensus(pred, regions, c, threshold, argmax_mode) == (expected.dsc[c], expected.empty_consensus_fg[c])
             reference = compensated_sum_reference(pred.channels[c], metrics.SUM_BLOCK)
-            assert compensated_sum(pred.channels[c]) == reference
             assert predicted_volume(pred, c) == pred.geometry.voxel_volume_cm3 * reference
 
 
@@ -225,15 +223,19 @@ def test_calibration_entry_points_match_the_reference_at_any_chunk_size(
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 300),
+    n=st.integers(1, 300),
+    chunk=CHUNKS,
     block=st.integers(1, 64),
     dtype=st.sampled_from([np.float32, np.float64]),
 )
-def test_compensated_sum_carries_its_open_block_across_pieces(seed, n, block, dtype):
+def test_predicted_volume_carries_its_open_block_across_chunks(seed, n, chunk, block, dtype):
+    # values of every sign and magnitude in channel 2 of an n-voxel line of 1 cm^3 voxels
     rng = np.random.default_rng(seed)
-    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 9, size=n)).astype(dtype)
-    with mock.patch.object(metrics, "SUM_BLOCK", block):
-        assert compensated_sum(values) == compensated_sum_reference(values, block)
+    channels = np.zeros((4, n, 1, 1), dtype=dtype)
+    channels[2].reshape(-1)[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 9, size=n)
+    pred = ProbabilityVolume(GridGeometry((n, 1, 1), (10.0, 10.0, 10.0)), channels)
+    with chunked(chunk, n, block):
+        assert predicted_volume(pred, 2) == compensated_sum_reference(channels[2], block)
 
 
 # --- channel-sum validation ------------------------------------------------
