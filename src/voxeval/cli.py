@@ -74,6 +74,8 @@ class RunConfig(EvalConfig):
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.parallel_cases < 1:
             raise ValidationError(f"parallel-cases must be >= 1, got {self.parallel_cases}")
         if self.parallel_cases > 1:

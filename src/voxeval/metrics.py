@@ -33,6 +33,7 @@ chunk size, and the working memory is bounded by one chunk and one block,
 not by the grid.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -485,12 +486,17 @@ def rater_volume_distribution(
     geometry = raters[0].geometry
     for i, r in enumerate(raters[1:], start=1):
         require_same_grid(geometry, r.geometry, f"rater 0 vs rater {i}")
-    counts = [int(np.count_nonzero(r.voxels == class_id)) for r in raters]
+    counts = tuple(int(np.count_nonzero(r.voxels == class_id)) for r in raters)
     return _volume_distribution(counts, geometry.voxel_volume_cm3, convention)
 
 
-def _volume_distribution(counts, vv: float, convention: str) -> tuple[float, float, tuple[float, ...]]:
-    """(mu, sigma, volumes) in cm^3 from per-rater voxel counts and the voxel volume."""
+@functools.lru_cache(maxsize=1024)
+def _volume_distribution(counts: tuple[int, ...], vv: float, convention: str) -> tuple[float, float, tuple[float, ...]]:
+    """(mu, sigma, volumes) in cm^3 from per-rater voxel counts and the voxel volume.
+
+    Memoized: every algorithm of a case shares its rater counts, so each
+    (case, class) computes its reference once.
+    """
     counts = np.array(counts)
     mu = float(np.mean(counts)) * vv
     if convention == "sample":

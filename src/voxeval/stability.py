@@ -10,6 +10,22 @@ Reproducibility: iteration i draws its indices from numpy's PCG64
 seeded with SeedSequence((seed, i)), so any other implementation of the
 same scheme can match the numbers exactly.
 
+How the resample matrix is drawn: ``_draw_integers`` runs that scheme
+in-tree, for all iterations at once, in numpy uint64 arithmetic, and gives
+numpy's ``Generator`` indices bit for bit without importing
+``numpy.random``. SeedSequence's hash mixing runs elementwise over the
+iteration index, which is the only entropy word that differs between rows,
+and yields every row's PCG64 state and increment. PCG64 is a 128-bit LCG
+with multiplier M, so output k = 1, 2, ... comes from the state
+M**(k+1) * initstate + (1 + M + ... + M**(k+1)) * inc, and a table of
+those two coefficients jumps every row to every output in one (hi, lo)
+multiply-add per block of BLOCK_ITERATIONS rows. Each XSL-RR output gives
+two 32-bit draws, low half first, and ``integers(0, n)`` maps a draw u to
+(u * n) >> 32 (Lemire). Where the low 32 bits of that product fall below
+(2**32 - n) % n, numpy would reject the draw and draw again; that happens
+to about 4 in 10**9 draws at 30 cases, and such a row is redrawn through
+numpy's own Generator.
+
 Design: the bootstrap resamples the rows of ``ranking.case_table``, the
 same validated table ``rank_cases`` ranks, built once per call. The
 resample indices of all iterations are drawn first into one
@@ -32,7 +48,7 @@ from .errors import ParameterError, ValidationError
 from .metrics import METRIC_NAMES, CaseMetrics, mean_in_order
 from .ranking import METRIC_DIRECTIONS, average_ranks, case_table
 
-#: Iterations ranked per vectorized step.
+#: Iterations drawn, and ranked, per vectorized step.
 BLOCK_ITERATIONS = 256
 
 
@@ -55,13 +71,148 @@ class BootstrapSummary:
     stats: dict[str, dict[str, RankStats]]  # metric -> algorithm -> stats
 
 
+# numpy.random.SeedSequence's hash constants and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
 def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
     """-> (iterations, n_cases) case indices; row i from SeedSequence((seed, i))."""
-    idx = np.empty((iterations, n_cases), dtype=np.int64)
-    for i in range(iterations):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        idx[i] = rng.integers(0, n_cases, size=n_cases)
-    return idx
+    return _draw_integers(n_cases, n_cases, iterations, seed)
+
+
+def _draw_integers(high: int, size: int, iterations: int, seed: int) -> np.ndarray:
+    """-> (iterations, size) int64 matrix whose row i is
+    ``Generator(PCG64(SeedSequence((seed, i)))).integers(0, high, size=size)``.
+
+    Needs ``1 <= high <= 2**32``, ``iterations <= 2**32`` and ``seed >= 0``.
+    Every row's stream is seeded at once, then rows are drawn BLOCK_ITERATIONS
+    at a time. A row in which any draw hits a Lemire rejection is drawn again
+    through numpy's own Generator.
+    """
+    out = np.zeros((iterations, size), dtype=np.int64)
+    if high == 1:
+        return out  # numpy draws nothing for a one-value range
+    n_outputs = (size + 1) // 2  # each 64-bit output gives two 32-bit draws
+    mult, offset = _jump_tables(n_outputs)
+    threshold = (2**32 - high) % high
+    entropy = [np.full(iterations, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    seeds = _pcg64_seeds(_seed_pool(entropy + [np.arange(iterations, dtype=np.uint32)]))
+    redraw = []
+    for start in range(0, iterations, BLOCK_ITERATIONS):
+        state_hi, state_lo, inc_hi, inc_lo = seeds[:, start : start + BLOCK_ITERATIONS]
+        # k steps past seeding: M**(k+1) * initstate + (1 + M + ... + M**(k+1)) * inc
+        hi, lo = _add128(*_mul128(*mult, state_hi, state_lo), *_mul128(*offset, inc_hi, inc_lo))
+        words = np.ascontiguousarray(_xsl_rr(hi, lo), dtype="<u8").view("<u4")[:, :size]
+        scaled = words.astype(np.uint64) * high
+        out[start : start + len(scaled)] = scaled >> 32
+        if threshold:
+            rejected = ((scaled & _MASK32) < threshold).any(axis=1)
+            redraw.extend(start + np.flatnonzero(rejected))
+    for i in redraw:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, int(i)))))
+        out[i] = rng.integers(0, high, size=size)
+    return out
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative int, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's mixed 4-word entropy pool, one uint32 array element per row."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ value >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:  # entropy past the pool: a seed >= 2**96
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_seeds(pool: list[np.ndarray]) -> np.ndarray:
+    """-> (4, rows, 1) uint64: initstate hi, lo and inc hi, lo of PCG64 seeded from
+    each row's ``generate_state(4, uint64)``, whose 32-bit words pair low first."""
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (words[2 * j] | words[2 * j + 1] << 32 for j in range(4))
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    return np.stack([s_hi, s_lo, inc_hi, inc_lo])[:, :, None]
+
+
+def _jump_tables(n_outputs: int):
+    """-> (M**(k+1), 1 + M + ... + M**(k+1)) mod 2**128 for k = 1..n_outputs,
+    each as a (hi, lo) pair of uint64 rows."""
+    power, total = _PCG_MULT, 1 + _PCG_MULT
+    powers, totals = [], []
+    for _ in range(n_outputs):
+        power = power * _PCG_MULT & _MASK128
+        total = total + power & _MASK128
+        powers.append(power)
+        totals.append(total)
+
+    def split(values):
+        return (np.array([v >> 64 for v in values], dtype=np.uint64),
+                np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+    return split(powers), split(totals)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(hi, lo) of a * b mod 2**128, from broadcastable uint64 halves."""
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _mulhi64(a, b):
+    """The high 64 bits of the 128-bit products of uint64 arrays."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross_ab, cross_ba = a0 * b1, a1 * b0
+    carry = ((a0 * b0 >> 32) + (cross_ab & _MASK32) + (cross_ba & _MASK32)) >> 32
+    return a1 * b1 + (cross_ab >> 32) + (cross_ba >> 32) + carry
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(hi, lo) of a + b mod 2**128, from broadcastable uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's 64-bit output of each 128-bit state: XOR the halves, rotate right by the top 6 bits."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return x >> rot | x << (64 - rot & 63)
 
 
 def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndarray:
@@ -95,6 +246,8 @@ def bootstrap_ranks(
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if not case_metrics:
         raise ValidationError("no case metrics to bootstrap")
 

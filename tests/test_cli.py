@@ -53,22 +53,22 @@ def tree_hash(root: Path) -> dict:
     }
 
 
-# Prints the scipy modules loaded when the interpreter exits.
-SCIPY_PROBE = (
+# Prints, at exit, the loaded scipy and numpy.random modules: packages a cold start should not pay for.
+COLD_START_PROBE = (
     "import atexit, json, sys\n"
-    "atexit.register(lambda: print('scipy modules:', json.dumps(sorted(\n"
-    "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))))\n"
+    "atexit.register(lambda: print('lazy modules:', json.dumps(sorted(\n"
+    "    m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in ('scipy', 'numpy.random'))))))\n"
 )
 
 
-def scipy_modules_at_exit(code: str, *args: str) -> tuple[int, list[str]]:
-    """Run ``code`` after SCIPY_PROBE in a fresh interpreter -> (exit code, scipy modules)."""
+def lazy_modules_at_exit(code: str, *args: str) -> tuple[int, list[str]]:
+    """Run ``code`` after COLD_START_PROBE in a fresh interpreter -> (exit code, scipy and numpy.random modules)."""
     src = str(Path(voxeval.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE + code, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", COLD_START_PROBE + code, *args], env=env, capture_output=True, text=True
     )
-    report = [line for line in proc.stdout.splitlines() if line.startswith("scipy modules:")]
+    report = [line for line in proc.stdout.splitlines() if line.startswith("lazy modules:")]
     assert len(report) == 1, proc.stdout + proc.stderr
     return proc.returncode, json.loads(report[0].split(":", 1)[1])
 
@@ -132,8 +132,8 @@ def test_run_meta_config_echoes_each_option(phantom_dir, tmp_path, flags, expect
     assert config == {"manifest": manifest, "out_dir": out, **expected}
 
 
-def test_evaluate_and_package_import_load_no_scipy(phantom_dir, tmp_path):
-    code, loaded = scipy_modules_at_exit(
+def test_evaluate_and_package_import_load_no_scipy_or_numpy_random(phantom_dir, tmp_path):
+    code, loaded = lazy_modules_at_exit(
         "import runpy; runpy.run_module('voxeval.cli', run_name='__main__')",
         "evaluate", str(phantom_dir / "manifest.json"),
         "--out", str(tmp_path / "report"), "--iterations", "20",
@@ -141,7 +141,7 @@ def test_evaluate_and_package_import_load_no_scipy(phantom_dir, tmp_path):
     assert code == 0
     assert (tmp_path / "report" / "ranking.csv").is_file()
     assert loaded == []
-    assert scipy_modules_at_exit("import voxeval") == (0, [])
+    assert lazy_modules_at_exit("import voxeval") == (0, [])
 
 
 def test_rerun_is_byte_identical_and_inputs_untouched(phantom_dir, tmp_path):
@@ -289,6 +289,7 @@ def test_evaluate_validation_errors(tmp_path, phantom_dir, capsys):
         (["--threshold", "1.5"], "threshold must be in (0, 1), got 1.5"),
         (["--ece-bins", "1"], "ece_bins must be >= 2, got 1"),
         (["--iterations", "0"], "iterations must be >= 1, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--parallel-cases", "0"], "parallel-cases must be >= 1, got 0"),
         (["--classes", "spleen"], "unknown class 'spleen'; use ids (1, 2, 3) or names ['kidney', 'liver', 'pancreas']"),
     ]:
@@ -536,7 +537,7 @@ def test_a_case_error_ends_alike_in_forked_workers(phantom_dir, tmp_path, capsys
 
 def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tmp_path, monkeypatch, capsys):
     from voxeval import cli
-
+    
     real_case_metrics = cli._case_metrics
 
     def dying_case_metrics(entry, config):
@@ -555,7 +556,7 @@ def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tm
 
 def test_under_skip_bad_cases_only_the_case_whose_worker_dies_alone_is_skipped(phantom_dir, tmp_path, monkeypatch):
     from voxeval import cli
-
+    
     real_case_metrics = cli._case_metrics
     started = tmp_path / "started"  # a file, not a list: forked case workers do not share the parent's memory
     started.touch()
@@ -630,7 +631,7 @@ def test_regions_are_derived_once_per_case(tmp_path, monkeypatch, parallel_cases
 @pytest.mark.parametrize("stage", ["rater read", "prediction read", "evaluation"])
 def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, monkeypatch, capsys, stage):
     from voxeval import cli
-
+    
     victim = {
         "rater read": "case_002_rater_2.nii.gz",
         "prediction read": "case_002_pred_mid.nii.gz",

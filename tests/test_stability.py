@@ -78,6 +78,49 @@ def reimplemented_bootstrap(case_metrics, iterations, seed):
     return means, per_iteration_rank_sums, tallies
 
 
+def numpy_draws(high, size, iterations, seed):
+    """Row i from its own numpy Generator(PCG64(SeedSequence((seed, i))))."""
+    return np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i)))).integers(0, high, size=size)
+        for i in range(iterations)
+    ]).reshape(iterations, size)
+
+
+KERNEL_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7, 2**128 + 3]
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+@pytest.mark.parametrize("n_cases", [1, 2, 3, 7, 30, 1000])
+def test_resample_indices_match_numpy_generator(n_cases, seed):
+    # a row does not depend on the iteration count, so one reference serves every count
+    expected = numpy_draws(n_cases, n_cases, 600, seed)
+    for iterations in (1, 255, 257, 600):
+        idx = stability._resample_indices(n_cases, iterations, seed)
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, expected[:iterations])
+
+
+@pytest.mark.parametrize("high", [2**31 + 1, 3 * 2**30])
+def test_rows_with_a_lemire_rejection_are_redrawn_by_numpy(monkeypatch, high):
+    # a quarter to a half of all draws are rejected here; a row without one is drawn in-tree
+    expected = numpy_draws(high, 5, 300, 9)
+    redrawn = []
+    seed_sequence = np.random.SeedSequence
+
+    def spy(entropy):
+        redrawn.append(entropy[1])
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    np.testing.assert_array_equal(stability._draw_integers(high, 5, 300, 9), expected)
+    assert 0 < len(redrawn) < 300
+
+
+@pytest.mark.parametrize("high", [2**31, 2**32])
+def test_draws_without_rejections_match_numpy(high):
+    np.testing.assert_array_equal(stability._draw_integers(high, 9, 260, 3), numpy_draws(high, 9, 260, 3))
+
+
 def test_single_case_has_no_resampling_variance(rng):
     cms = [
         make_case_metrics("only", "a", 0.9, 0.9, 0.01, 1.0),
@@ -209,6 +252,8 @@ def test_validation_errors(rng):
     cms = synthetic_metrics(rng, n_cases=2, n_algorithms=2)
     with pytest.raises(ParameterError):
         bootstrap_ranks(cms, iterations=0)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        bootstrap_ranks(cms, seed=-1)
     with pytest.raises(ValidationError, match="no metrics for case"):
         bootstrap_ranks(cms[:-1])  # drop one (case, algorithm) pair
     with pytest.raises(ValidationError, match="no case metrics"):
