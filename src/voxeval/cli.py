@@ -11,8 +11,9 @@ Subcommands:
 * ``validate``   - manifest and volume checks only.
 
 Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
-3 metric computation error, 4 out of memory while a case was read or
-evaluated, or a case worker process died. Input files are never modified.
+3 metric computation error, 4 out of memory (while a case was read or
+evaluated, or in ranking, the bootstrap or the report), or a case worker
+process died. Input files are never modified.
 """
 
 import argparse
@@ -37,14 +38,14 @@ from .errors import (
     VolumeIOError,
     VoxevalError,
 )
-from .grid import CLASS_NAMES, ORGAN_CLASSES, LabelVolume, ProbabilityVolume
-from .manifest import load_manifest
+from .grid import ORGAN_CLASSES, ORGAN_IDS, LabelVolume, ProbabilityVolume
+from .manifest import GROUPS, load_manifest
 from .metrics import METRIC_NAMES, CaseMetrics, EvalConfig, evaluate_case
 from .nifti import read_volume
 from .phantom import write_dataset
 from .ranking import composite_ranking, rank_cases
 from .report import aggregate, correlations, emit, manifest_sha256, write_ranking
-from .stability import bootstrap_ranks, bubble_export
+from .stability import MAX_ITERATIONS, bootstrap_ranks, bubble_export
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,6 +75,8 @@ class RunConfig(EvalConfig):
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ValidationError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.parallel_cases < 1:
@@ -93,17 +96,16 @@ class RunConfig(EvalConfig):
 
 
 def _parse_classes(text: str) -> tuple[int, ...]:
-    ids_by_name = {CLASS_NAMES[c]: c for c in ORGAN_CLASSES}
     out = []
     for token in text.split(","):
         token = token.strip()
-        if token in ids_by_name:
-            out.append(ids_by_name[token])
+        if token in ORGAN_IDS:
+            out.append(ORGAN_IDS[token])
         elif token.isdigit() and int(token) in ORGAN_CLASSES:
             out.append(int(token))
         else:
             raise ValidationError(
-                f"unknown class {token!r}; use ids {ORGAN_CLASSES} or names {sorted(ids_by_name)}"
+                f"unknown class {token!r}; use ids {ORGAN_CLASSES} or names {sorted(ORGAN_IDS)}"
             )
     return tuple(out)
 
@@ -209,12 +211,6 @@ def run_evaluate(config: RunConfig) -> int:
         raise ValidationError("no cases evaluated (all skipped?)")
     case_metrics.sort(key=lambda m: (m.case_id, m.algorithm))
 
-    ranking = rank_cases(case_metrics, per_case_ranks=config.rank_per_case)
-    bootstrap = bootstrap_ranks(case_metrics, iterations=config.iterations, seed=config.seed)
-    bubbles = bubble_export(bootstrap)
-    groups = aggregate(case_metrics, manifest)
-    correlation = correlations(case_metrics, per_organ=config.correlations_per_organ)
-
     run_meta = {
         "tool": "voxeval",
         "version": __version__,
@@ -225,17 +221,28 @@ def run_evaluate(config: RunConfig) -> int:
         "skipped_cases": skipped,
         "rng": "numpy PCG64; bootstrap iteration i uses SeedSequence((seed, i))",
     }
-    emit(
-        config.out_dir,
-        case_metrics=case_metrics,
-        manifest=manifest,
-        ranking=ranking,
-        bootstrap=bootstrap,
-        bubbles=bubbles,
-        groups=groups,
-        correlation=correlation,
-        run_meta=run_meta,
-    )
+    stage = "ranking"
+    try:
+        ranking = rank_cases(case_metrics, per_case_ranks=config.rank_per_case)
+        stage = "the bootstrap"
+        bootstrap = bootstrap_ranks(case_metrics, iterations=config.iterations, seed=config.seed)
+        bubbles = bubble_export(bootstrap)
+        stage = "the report"
+        groups = aggregate(case_metrics, manifest)
+        correlation = correlations(case_metrics, per_organ=config.correlations_per_organ)
+        emit(
+            config.out_dir,
+            case_metrics=case_metrics,
+            manifest=manifest,
+            ranking=ranking,
+            bootstrap=bootstrap,
+            bubbles=bubbles,
+            groups=groups,
+            correlation=correlation,
+            run_meta=run_meta,
+        )
+    except MemoryError as exc:
+        raise ResourceError(f"out of memory in {stage} after the cases were evaluated (--iterations {config.iterations})") from exc
     print(f"evaluated {len({m.case_id for m in case_metrics})} cases x {len(ranking.rows)} algorithms")
     for row in ranking.rows:
         print(f"  {row.final_rank}. {row.algorithm} (composite {row.composite:g})")
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--renormalize", action="store_true", help="renormalize probability voxels instead of rejecting bad sums")
     ev.add_argument("--iterations", type=int, help="bootstrap iterations (default 500)")
     ev.add_argument("--seed", type=int, help="bootstrap RNG seed (default 0)")
-    ev.add_argument("--group", choices=["A", "B", "C"], help="restrict to one clinical group")
+    ev.add_argument("--group", choices=GROUPS, help="restrict to one clinical group")
     ev.add_argument("--classes", help="comma-separated organ subset")
     ev.add_argument("--skip-bad-cases", action="store_true", help="skip unreadable cases instead of aborting")
     ev.add_argument("--parallel-cases", type=int, metavar="N", help="evaluate N cases at once, in forked worker processes")

@@ -27,6 +27,8 @@ from .errors import ShapeError, ValidationError
 #: Class ids in channel order. Id 0 is background.
 CLASS_NAMES = ("background", "pancreas", "kidney", "liver")
 ORGAN_CLASSES = (1, 2, 3)
+#: Organ name -> class id, the names that --classes and phantom specs accept.
+ORGAN_IDS = {CLASS_NAMES[c]: c for c in ORGAN_CLASSES}
 N_CHANNELS = 4
 
 #: Maximum allowed |sum(channels) - 1| per voxel at load time.

@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import (
-    CLASS_NAMES,
     N_CHANNELS,
     ORGAN_CLASSES,
+    ORGAN_IDS,
     GridGeometry,
     LabelVolume,
     ProbabilityVolume,
@@ -280,15 +280,14 @@ def _parse_key(doc: dict, key: str, parse, default=None):
 
 
 def _parse_spheres(doc: dict) -> dict[int, Sphere]:
-    ids_by_name = {CLASS_NAMES[c]: c for c in ORGAN_CLASSES}
     spheres = {}
     for name, s in doc.items():
-        if name not in ids_by_name:
-            raise ValidationError(f"unknown organ class {name!r}; expected one of {sorted(ids_by_name)}")
+        if name not in ORGAN_IDS:
+            raise ValidationError(f"unknown organ class {name!r}; expected one of {sorted(ORGAN_IDS)}")
         center = tuple(float(x) for x in s["center"])
         if len(center) != 3 or not all(map(math.isfinite, center)):
             raise ValidationError(f"sphere {name!r}: center must be 3 finite numbers, got {s['center']!r}")
-        spheres[ids_by_name[name]] = Sphere(center, float(s["radius"]))
+        spheres[ORGAN_IDS[name]] = Sphere(center, float(s["radius"]))
     return spheres
 
 

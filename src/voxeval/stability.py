@@ -15,16 +15,16 @@ in-tree, for all iterations at once, in numpy uint64 arithmetic, and gives
 numpy's ``Generator`` indices bit for bit without importing
 ``numpy.random``. SeedSequence's hash mixing runs elementwise over the
 iteration index, which is the only entropy word that differs between rows,
-and yields every row's PCG64 state and increment. PCG64 is a 128-bit LCG
-with multiplier M, so output k = 1, 2, ... comes from the state
-M**(k+1) * initstate + (1 + M + ... + M**(k+1)) * inc, and a table of
-those two coefficients jumps every row to every output in one (hi, lo)
-multiply-add per block of BLOCK_ITERATIONS rows. Each XSL-RR output gives
-two 32-bit draws, low half first, and ``integers(0, n)`` maps a draw u to
-(u * n) >> 32 (Lemire). Where the low 32 bits of that product fall below
-(2**32 - n) % n, numpy would reject the draw and draw again; that happens
-to about 4 in 10**9 draws at 30 cases, and such a row is redrawn through
-numpy's own Generator.
+and yields every row's seeded PCG64 state and increment. PCG64 is a 128-bit
+LCG with multiplier M: each 64-bit output steps every row once,
+state = state * M + inc mod 2**128 in (hi, lo) uint64 halves, and is the
+XSL-RR of the new state. Each output gives two 32-bit draws, low half
+first, and ``integers(0, n)`` maps a draw u to (u * n) >> 32 (Lemire).
+Where the low 32 bits of that product fall below (2**32 - n) % n, numpy
+would reject the draw and draw again; that happens to about 4 in 10**9
+draws at 30 cases, and such a row is redrawn through numpy's own Generator.
+The iteration index is one 32-bit entropy word, so at most MAX_ITERATIONS
+iterations are drawn.
 
 Design: the bootstrap resamples the rows of ``ranking.case_table``, the
 same validated table ``rank_cases`` ranks, built once per call. The
@@ -48,8 +48,10 @@ from .errors import ParameterError, ValidationError
 from .metrics import METRIC_NAMES, CaseMetrics, mean_in_order
 from .ranking import METRIC_DIRECTIONS, average_ranks, case_table
 
-#: Iterations drawn, and ranked, per vectorized step.
+#: Iterations ranked per vectorized step.
 BLOCK_ITERATIONS = 256
+#: The most bootstrap iterations: iteration i seeds from SeedSequence((seed, i)) with i one uint32 word.
+MAX_ITERATIONS = 2**32
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,11 @@ class BootstrapSummary:
 
 # numpy.random.SeedSequence's hash constants and PCG64's 128-bit LCG multiplier
 _MASK32 = 0xFFFF_FFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _POOL_SIZE = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 
 
 def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
@@ -91,31 +91,24 @@ def _draw_integers(high: int, size: int, iterations: int, seed: int) -> np.ndarr
     """-> (iterations, size) int64 matrix whose row i is
     ``Generator(PCG64(SeedSequence((seed, i)))).integers(0, high, size=size)``.
 
-    Needs ``1 <= high <= 2**32``, ``iterations <= 2**32`` and ``seed >= 0``.
-    Every row's stream is seeded at once, then rows are drawn BLOCK_ITERATIONS
-    at a time. A row in which any draw hits a Lemire rejection is drawn again
-    through numpy's own Generator.
+    Needs ``1 <= high <= 2**32``, ``iterations <= MAX_ITERATIONS`` and
+    ``seed >= 0``. Every row's stream is seeded at once, then stepped once per
+    64-bit output, all rows together. A row in which any draw hits a Lemire
+    rejection is drawn again through numpy's own Generator.
     """
-    out = np.zeros((iterations, size), dtype=np.int64)
-    if high == 1:
-        return out  # numpy draws nothing for a one-value range
-    n_outputs = (size + 1) // 2  # each 64-bit output gives two 32-bit draws
-    mult, offset = _jump_tables(n_outputs)
-    threshold = (2**32 - high) % high
     entropy = [np.full(iterations, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    seeds = _pcg64_seeds(_seed_pool(entropy + [np.arange(iterations, dtype=np.uint32)]))
-    redraw = []
-    for start in range(0, iterations, BLOCK_ITERATIONS):
-        state_hi, state_lo, inc_hi, inc_lo = seeds[:, start : start + BLOCK_ITERATIONS]
-        # k steps past seeding: M**(k+1) * initstate + (1 + M + ... + M**(k+1)) * inc
-        hi, lo = _add128(*_mul128(*mult, state_hi, state_lo), *_mul128(*offset, inc_hi, inc_lo))
-        words = np.ascontiguousarray(_xsl_rr(hi, lo), dtype="<u8").view("<u4")[:, :size]
-        scaled = words.astype(np.uint64) * high
-        out[start : start + len(scaled)] = scaled >> 32
-        if threshold:
-            rejected = ((scaled & _MASK32) < threshold).any(axis=1)
-            redraw.extend(start + np.flatnonzero(rejected))
-    for i in redraw:
+    state_hi, state_lo, inc_hi, inc_lo = _pcg64_seeds(_seed_pool(entropy + [np.arange(iterations, dtype=np.uint32)]))
+    threshold = (2**32 - high) % high
+    out = np.empty((iterations, size), dtype=np.int64)
+    rejected = np.zeros(iterations, dtype=bool)
+    for k in range(0, size, 2):  # each 64-bit output gives two 32-bit draws, low half first
+        state_hi, state_lo = _pcg64_step(state_hi, state_lo, inc_hi, inc_lo)
+        word = _xsl_rr(state_hi, state_lo)
+        for j, draw in enumerate((word & _MASK32, word >> 32)[: size - k]):
+            scaled = draw * high
+            out[:, k + j] = scaled >> 32
+            rejected |= (scaled & _MASK32) < threshold
+    for i in np.flatnonzero(rejected):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, int(i)))))
         out[i] = rng.integers(0, high, size=size)
     return out
@@ -156,9 +149,9 @@ def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return pool
 
 
-def _pcg64_seeds(pool: list[np.ndarray]) -> np.ndarray:
-    """-> (4, rows, 1) uint64: initstate hi, lo and inc hi, lo of PCG64 seeded from
-    each row's ``generate_state(4, uint64)``, whose 32-bit words pair low first."""
+def _pcg64_seeds(pool: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """-> (state hi, state lo, inc hi, inc lo), each (rows,) uint64, of PCG64 seeded
+    from each row's ``generate_state(4, uint64)``, whose 32-bit words pair low first."""
     hash_const = _INIT_B
     words = []
     for k in range(8):
@@ -168,34 +161,18 @@ def _pcg64_seeds(pool: list[np.ndarray]) -> np.ndarray:
         words.append((value ^ value >> 16).astype(np.uint64))
     s_hi, s_lo, q_hi, q_lo = (words[2 * j] | words[2 * j + 1] << 32 for j in range(4))
     inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    return np.stack([s_hi, s_lo, inc_hi, inc_lo])[:, :, None]
+    # pcg_setseq_128_srandom_r: state = (initstate + inc) * M + inc
+    return (*_pcg64_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _jump_tables(n_outputs: int):
-    """-> (M**(k+1), 1 + M + ... + M**(k+1)) mod 2**128 for k = 1..n_outputs,
-    each as a (hi, lo) pair of uint64 rows."""
-    power, total = _PCG_MULT, 1 + _PCG_MULT
-    powers, totals = [], []
-    for _ in range(n_outputs):
-        power = power * _PCG_MULT & _MASK128
-        total = total + power & _MASK128
-        powers.append(power)
-        totals.append(total)
-
-    def split(values):
-        return (np.array([v >> 64 for v in values], dtype=np.uint64),
-                np.array([v & _MASK64 for v in values], dtype=np.uint64))
-
-    return split(powers), split(totals)
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """(hi, lo) of a * b mod 2**128, from broadcastable uint64 halves."""
-    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+def _pcg64_step(state_hi, state_lo, inc_hi, inc_lo):
+    """(hi, lo) of PCG64's next 128-bit state, state * M + inc mod 2**128."""
+    hi = _mulhi64(state_lo, _PCG_MULT_LO) + state_lo * _PCG_MULT_HI + state_hi * _PCG_MULT_LO
+    return _add128(hi, state_lo * _PCG_MULT_LO, inc_hi, inc_lo)
 
 
 def _mulhi64(a, b):
-    """The high 64 bits of the 128-bit products of uint64 arrays."""
+    """The high 64 bits of the 128-bit products of uint64 arrays, or of an array and an int below 2**64."""
     a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
     cross_ab, cross_ba = a0 * b1, a1 * b0
     carry = ((a0 * b0 >> 32) + (cross_ab & _MASK32) + (cross_ba & _MASK32)) >> 32
@@ -246,6 +223,8 @@ def bootstrap_ranks(
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
+    if iterations > MAX_ITERATIONS:
+        raise ParameterError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if not case_metrics:

@@ -289,6 +289,7 @@ def test_evaluate_validation_errors(tmp_path, phantom_dir, capsys):
         (["--threshold", "1.5"], "threshold must be in (0, 1), got 1.5"),
         (["--ece-bins", "1"], "ece_bins must be >= 2, got 1"),
         (["--iterations", "0"], "iterations must be >= 1, got 0"),
+        (["--iterations", "4294967297"], "iterations must be <= 4294967296, got 4294967297"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--parallel-cases", "0"], "parallel-cases must be >= 1, got 0"),
         (["--classes", "spleen"], "unknown class 'spleen'; use ids (1, 2, 3) or names ['kidney', 'liver', 'pancreas']"),
@@ -661,6 +662,23 @@ def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, mon
     skipped = json.loads((tmp_path / "s" / "run_meta.json").read_text())["skipped_cases"]
     assert [s["case_id"] for s in skipped] == ["case_002"]
     assert victim in skipped[0]["reason"]
+
+
+@pytest.mark.parametrize(
+    "target, stage", [("rank_cases", "ranking"), ("bootstrap_ranks", "the bootstrap"), ("emit", "the report")]
+)
+def test_out_of_memory_after_the_cases_is_exit_4_naming_the_stage(phantom_dir, tmp_path, monkeypatch, capsys, target, stage):
+    from voxeval import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    out = tmp_path / "r"
+    assert main(["evaluate", str(phantom_dir / "manifest.json"), "--out", str(out), "--iterations", "7"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory in {stage} after the cases were evaluated (--iterations 7)\n"
+    assert not out.exists()
 
 
 def test_a_case_holds_its_prediction_region_code_and_packed_labels(tmp_path, monkeypatch):

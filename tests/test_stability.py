@@ -100,6 +100,17 @@ def test_resample_indices_match_numpy_generator(n_cases, seed):
         np.testing.assert_array_equal(idx, expected[:iterations])
 
 
+@pytest.mark.parametrize("seed", [0, 2**32, 2**96 + 7, 2**128 + 3])
+def test_pcg64_seeds_match_numpy_seeding(seed):
+    rows = np.array([0, 1, 2, 255, 256, 4999, 2**31, 2**32 - 1], dtype=np.uint32)
+    entropy = [np.full(len(rows), w, dtype=np.uint32) for w in stability._uint32_words(seed)] + [rows]
+    state_hi, state_lo, inc_hi, inc_lo = stability._pcg64_seeds(stability._seed_pool(entropy))
+    for k, i in enumerate(rows):
+        expected = np.random.PCG64(np.random.SeedSequence((seed, int(i)))).state["state"]
+        assert int(state_hi[k]) << 64 | int(state_lo[k]) == expected["state"]
+        assert int(inc_hi[k]) << 64 | int(inc_lo[k]) == expected["inc"]
+
+
 @pytest.mark.parametrize("high", [2**31 + 1, 3 * 2**30])
 def test_rows_with_a_lemire_rejection_are_redrawn_by_numpy(monkeypatch, high):
     # a quarter to a half of all draws are rejected here; a row without one is drawn in-tree
@@ -252,6 +263,9 @@ def test_validation_errors(rng):
     cms = synthetic_metrics(rng, n_cases=2, n_algorithms=2)
     with pytest.raises(ParameterError):
         bootstrap_ranks(cms, iterations=0)
+    # the iteration index is one uint32 entropy word: iteration 2**32 would repeat iteration 0's stream
+    with pytest.raises(ParameterError, match="iterations must be <= 4294967296, got 4294967297"):
+        bootstrap_ranks(cms, iterations=2**32 + 1)
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         bootstrap_ranks(cms, seed=-1)
     with pytest.raises(ValidationError, match="no metrics for case"):
