@@ -11,9 +11,11 @@ Subcommands:
 * ``validate``   - manifest and volume checks only.
 
 Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
-3 metric computation error, 4 out of memory (while a case was read or
-evaluated, or in ranking, the bootstrap or the report), or a case worker
-process died. Input files are never modified.
+3 metric computation error, or any other unexpected exception while a
+case was read or evaluated (naming the case, the algorithm and the path),
+4 out of memory (while a case was read or evaluated, or in ranking, the
+bootstrap or the report), or a case worker process died. Input files are
+never modified.
 """
 
 import argparse
@@ -135,7 +137,9 @@ def _evaluate_one_case(entry, config: RunConfig):
 
 
 def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
-    """Every algorithm's metrics for one case; running out of memory is a ResourceError."""
+    """Every algorithm's metrics for one case; running out of memory is a ResourceError,
+    and any other exception that is not a VoxevalError a MetricError naming the case, the
+    algorithm and the path, so that serial runs and forked workers end alike."""
     where, path = f"case {entry.case_id!r}", None
     try:
         raters = []
@@ -156,6 +160,10 @@ def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
         return out
     except MemoryError as exc:
         raise ResourceError(f"{where}: out of memory reading or evaluating {path}") from exc
+    except VoxevalError:
+        raise
+    except Exception as exc:  # a fault of the program, not of the input: an error line, not a traceback
+        raise MetricError(f"{where}: unexpected {type(exc).__name__} reading or evaluating {path}: {exc}") from exc
 
 
 def _evaluate_cases(cases, config: RunConfig, workers: int) -> list:

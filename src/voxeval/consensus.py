@@ -43,8 +43,9 @@ class RegionView:
     value: int
     n_voxels: int
 
-    def selects(self, code: np.ndarray) -> np.ndarray:
-        """Which of these region codes (any slice of ``code``) lie in the view."""
+    def selects(self, code: np.ndarray | int) -> np.ndarray | bool:
+        """Which of these region codes (any slice of ``code``) lie in the view; for
+        one code given as a Python int, a Python bool."""
         return (code & self.mask) == self.value
 
     def to_bool(self, shape=None) -> np.ndarray:

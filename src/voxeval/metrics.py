@@ -31,6 +31,18 @@ c_fg/c_bg sum records the grid spans of its chunks and gathers them once
 when the block closes. So the results are bit-identical whatever the
 chunk size, and the working memory is bounded by one chunk and one block,
 not by the grid.
+
+Homogeneous chunks skip per-voxel work and give the same bits. A chunk of
+one region code selects each region wholly or not at all: Dice counts its
+predicted voxels, and a c_fg/c_bg sum takes it as a plain slice, with no
+mask and no gather. A chunk whose confidences share one calibration bin
+(the bins of its smallest and largest match) adds its count and its
+correct-counts to that bin, and continues the bin's confidence sum with a
+cumsum, in voxel order as np.add.at does. Where every calibrated voxel is
+rater-unanimous (the chunk's codes all carry the unanimous bit, or
+calibration is restricted to those voxels) only rater 0's labels are
+unpacked and scored, for every rater. The restricted selection is gathered
+once per chunk for all calibration targets.
 """
 
 import functools
@@ -39,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import ConsensusRegions, PackedLabels, RegionView, derive_regions, pack_labels
+from .consensus import UNANIMOUS_BIT, ConsensusRegions, PackedLabels, RegionView, derive_regions, pack_labels
 from .errors import ParameterError, VoxevalError
 from .grid import N_CHANNELS, ORGAN_CLASSES, LabelVolume, ProbabilityVolume, chunk_bounds, require_same_grid
 
@@ -103,25 +115,30 @@ class _RegionSum:
     def __init__(self, values: np.ndarray, view: RegionView):
         self._values, self._view, self._code = values, view, view.code.reshape(-1)
         self._totals: list[float] = []
-        self._spans: list[tuple[int, int, int]] = []  # (start, stop, selected values in the block before)
+        # (start, stop, selected values in the block before, whether the chunk lies wholly in the region)
+        self._spans: list[tuple[int, int, int, bool]] = []
         self._n_open = 0
         self._n_left = view.count()
 
-    def add(self, start: int, stop: int, selected: np.ndarray) -> None:
-        """The grid chunk [start, stop), with ``selected`` its voxels in the region."""
-        n = self._n_left if stop == self._values.size else int(np.count_nonzero(selected))
+    def add(self, start: int, stop: int, selected: np.ndarray | bool) -> None:
+        """The grid chunk [start, stop), with ``selected`` its voxels in the region: a mask,
+        or a Python bool when the chunk lies wholly inside or wholly outside it."""
+        if selected is False:
+            return
+        full = selected is True  # the chunk's values are a plain slice: no mask, no gather
+        n = self._n_left if stop == self._values.size else stop - start if full else int(np.count_nonzero(selected))
         if n == 0:
             return
         self._n_left -= n
         used = 0
         if self._n_open + n >= SUM_BLOCK or not self._n_left:  # a block closes in this chunk
-            gathered = self._values[start:stop][selected]
+            gathered = self._values[start:stop] if full else self._values[start:stop][selected]
             while used < n and (self._n_open + n - used >= SUM_BLOCK or not self._n_left):
                 take = min(SUM_BLOCK - self._n_open, n - used)
                 self._close(gathered[used : used + take])
                 used += take
         if used < n:  # the rest joins the open block as a span
-            self._spans.append((start, stop, used))
+            self._spans.append((start, stop, used, full))
             self._n_open += n - used
 
     def _close(self, tail: np.ndarray) -> None:
@@ -130,8 +147,9 @@ class _RegionSum:
         if self._spans:
             block = np.empty(self._n_open + tail.size, dtype=tail.dtype)
             pos = 0
-            for start, stop, skip in self._spans:
-                piece = self._values[start:stop][self._view.selects(self._code[start:stop])][skip:]
+            for start, stop, skip, full in self._spans:
+                values = self._values[start:stop]
+                piece = (values if full else values[self._view.selects(self._code[start:stop])])[skip:]
                 block[pos : pos + piece.size] = piece
                 pos += piece.size
             block[pos:] = tail
@@ -214,19 +232,34 @@ class _Binning:
     def empty(cls, bins: int, n_raters: int) -> "_Binning":
         return cls(np.zeros(bins, np.intp), np.zeros(bins), [np.zeros(bins, np.intp) for _ in range(n_raters)])
 
-    def add(self, conf, predicted, truths, include) -> None:
-        """One chunk: float64 confidences, predictions, each rater's truth, optional mask."""
-        if include is not None:
-            conf, predicted = conf[include], predicted[include]
-            truths = [t[include] for t in truths]
-        bins = self.counts.size
-        idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
-        counts = np.bincount(idx, minlength=bins)
-        self.counts += counts
-        np.add.at(self.conf_sums, idx, conf)  # same order and result as bincount(idx, weights=conf)
-        for hits, truth in zip(self.hits, truths):  # gathering the (usually few) wrong voxels is cheap
-            hits += counts - np.bincount(idx[predicted != truth], minlength=bins)
-        self.n += conf.size
+    def add(self, conf, predicted, truths) -> None:
+        """One chunk: float64 confidences (overwritten), predictions and each rater's
+        truth; a single truth stands for every rater.
+
+        Each bin's confidence sum is a running total that every voxel continues, in
+        grid order, across chunks. When all of the chunk's confidences share a bin
+        (the bin rule is monotone, so the bins of the smallest and the largest
+        match), cumsum from that total adds them exactly as np.add.at does.
+        """
+        n, bins = conf.size, self.counts.size
+        if n == 0:
+            return
+        lo, hi = (min(math.floor(c * bins), bins - 1) for c in (conf.min(), conf.max()))
+        if lo == hi:
+            at, counts = lo, n
+            conf[0] += self.conf_sums[lo]
+            self.conf_sums[lo] = np.cumsum(conf, out=conf)[-1]
+            wrong = [np.count_nonzero(predicted != truth) for truth in truths]
+        else:
+            idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
+            at, counts = slice(None), np.bincount(idx, minlength=bins)
+            np.add.at(self.conf_sums, idx, conf)  # each voxel continues its bin's running total, in order
+            # gathering the (usually few) wrong voxels is cheap
+            wrong = [np.bincount(idx[predicted != truth], minlength=bins) for truth in truths]
+        self.counts[at] += counts
+        for hits, w in zip(self.hits, wrong * len(self.hits) if len(wrong) == 1 else wrong):
+            hits[at] += counts - w
+        self.n += n
 
     def results(self, literal: bool) -> list[CalibrationBins]:
         """One CalibrationBins per rater."""
@@ -309,18 +342,20 @@ def _one_pass(
     )
     region_classes = {c: regions[c] for c in (*dice, *confidence)}
     need_argmax = None in stats.binning or (argmax_mode and bool(dice))
+    # the regions' unanimous bit speaks for these raters only
+    shared_labels = regions is not None and labels is regions.labels
     n_voxels, volume_fed = channels.shape[1], 0
     for start, stop in chunk_bounds(n_voxels):
         ch = channels[:, start:stop]
-        codes = None if code is None else code[start:stop]
+        codes = None if code is None else _one_code(code[start:stop])
         if need_argmax:
             arg, best = _argmax_max(ch)
         for c, r in region_classes.items():
             fg, bg = r.fg.selects(codes), r.bg.selects(codes)
             if c in stats.tp:
                 predicted = arg == c if argmax_mode else ch[c] >= threshold
-                stats.tp[c] += int(np.count_nonzero(predicted & fg))
-                stats.fp[c] += int(np.count_nonzero(predicted & bg))
+                stats.tp[c] += _count_selected(predicted, fg)
+                stats.fp[c] += _count_selected(predicted, bg)
             if c in stats.fg_sum:
                 stats.fg_sum[c].add(start, stop, fg)
                 stats.bg_sum[c].add(start, stop, bg)
@@ -329,15 +364,34 @@ def _one_pass(
             for c, totals in stats.volume.items():
                 totals.append(_block_total(channels[c, block]))  # a view: no copy
             volume_fed = block.stop
-        sel = None if include is None else include.selects(include_code[start:stop])
-        truths = [labels.rater(r, start, stop) for r in range(n_raters)]
+        sel = True if include is None else include.selects(_one_code(include_code[start:stop]))
+        if not stats.binning or sel is False:
+            continue
+        sel = slice(None) if sel is True else sel  # a view of the whole chunk, or one gather for every target
+        # where every calibrated voxel is unanimous, rater 0's truth is every rater's
+        one_truth = shared_labels and (include is regions.unanimous or np.min(codes) >= UNANIMOUS_BIT)
+        truths = [labels.rater(r, start, stop)[sel] for r in range(1 if one_truth else n_raters)]
         for target, binning in stats.binning.items():
             if target is None:
-                binning.add(best.astype(np.float64), arg, truths, sel)
+                binning.add(best[sel].astype(np.float64), arg[sel], truths)
             else:
-                p = ch[target].astype(np.float64)
-                binning.add(np.maximum(p, 1.0 - p), p >= 0.5, [t == target for t in truths], sel)
+                p = ch[target][sel].astype(np.float64)
+                binning.add(np.maximum(p, 1.0 - p), p >= 0.5, [t == target for t in truths])
     return stats
+
+
+def _one_code(codes: np.ndarray) -> np.ndarray | int:
+    """A chunk's region codes, or their one value as a Python int when all are equal:
+    a view's ``selects`` then gives a Python bool for the whole chunk."""
+    lowest = int(codes.min())
+    return lowest if lowest == codes.max() else codes
+
+
+def _count_selected(predicted: np.ndarray, selected: np.ndarray | bool) -> int:
+    """Voxels of ``predicted`` in ``selected``, a mask or a Python bool for the whole chunk."""
+    if isinstance(selected, bool):
+        return int(np.count_nonzero(predicted)) if selected else 0
+    return int(np.count_nonzero(predicted & selected))
 
 
 def _dice(tp: int, fp: int, n_fg: int) -> tuple[float, bool]:

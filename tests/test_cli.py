@@ -664,6 +664,34 @@ def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, mon
     assert victim in skipped[0]["reason"]
 
 
+@pytest.mark.parametrize("parallel_cases", ["1", "2"])
+def test_an_unexpected_exception_in_a_case_is_exit_3_naming_case_algorithm_and_file(
+    phantom_dir, tmp_path, monkeypatch, capsys, parallel_cases
+):
+    from voxeval import cli
+
+    real_evaluate = cli.evaluate_case
+
+    def evaluate_case(pred, raters, config, case_id, algorithm, regions):
+        if (case_id, algorithm) == ("case_002", "mid"):
+            raise RuntimeError("a fault of the program")
+        return real_evaluate(pred, raters, config, case_id, algorithm, regions)
+
+    monkeypatch.setattr(cli, "evaluate_case", evaluate_case)  # the forked workers inherit the patch
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--parallel-cases", parallel_cases]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    path = phantom_dir / "volumes" / "case_002_pred_mid.nii.gz"
+    assert err == (
+        f"error: case 'case_002', algorithm 'mid': unexpected RuntimeError reading or evaluating {path}: "
+        "a fault of the program\n"
+    )
+    assert not (tmp_path / "r").exists()
+    assert main(args + ["--out", str(tmp_path / "s"), "--skip-bad-cases"]) == 0
+    skipped = json.loads((tmp_path / "s" / "run_meta.json").read_text())["skipped_cases"]
+    assert skipped == [{"case_id": "case_002", "reason": err[len("error: ") : -1]}]
+
+
 @pytest.mark.parametrize(
     "target, stage", [("rank_cases", "ranking"), ("bootstrap_ranks", "the bootstrap"), ("emit", "the report")]
 )

@@ -238,6 +238,171 @@ def test_predicted_volume_carries_its_open_block_across_chunks(seed, n, chunk, b
         assert predicted_volume(pred, 2) == compensated_sum_reference(channels[2], block)
 
 
+# --- homogeneous chunks ------------------------------------------------------
+
+#: 8 chunks of 16 voxels on a 4x4x8 grid, one kind of chunk each (see homogeneous_case).
+CHUNK = 16
+EDGE = 0.7  # a bin edge k/M at the default 10 bins
+
+
+def bin_of(conf, bins):
+    """The oracles' bin rule: floor(conf * M) in float64, the last bin right-closed."""
+    return np.minimum(np.floor(np.asarray(conf, dtype=np.float64) * bins).astype(np.int64), bins - 1)
+
+
+def homogeneous_case(dtype):
+    """A prediction and three raters whose chunks are, in order:
+
+    0. one region code (unanimous background), every confidence in the top bin;
+    1. the same code, confidences 1.0 (the top bin's clamp) and 0.91-0.99;
+    2. one code (unanimous kidney), confidences in several bins;
+    3. mixed codes (the raters disagree on 4 voxels), every confidence in the top bin;
+    4. kidney probabilities just below and at the bin edge EDGE, nothing else;
+    5. one code with no voxel unanimous: nothing is calibrated under --ece-exclude-dissensus;
+    6. the raters disagree on a random third of the voxels, confidences random;
+    7. one code (unanimous liver), every confidence in the top bin.
+    """
+    rng = np.random.default_rng(24)
+    channels = np.empty((4, 8 * CHUNK))
+    raters = np.zeros((3, 8 * CHUNK), dtype=np.uint8)
+    ch = [channels[:, k * CHUNK : (k + 1) * CHUNK] for k in range(8)]  # views, one per chunk
+    labels = [raters[:, k * CHUNK : (k + 1) * CHUNK] for k in range(8)]
+
+    def confident(k, winners, lo=0.91, hi=0.99):
+        p = rng.uniform(lo, hi, CHUNK)
+        ch[k][:] = (1.0 - p) / 3.0
+        ch[k][winners, np.arange(CHUNK)] = p
+
+    def random_softmax(k):
+        raw = rng.random((4, CHUNK)) + 1e-3
+        ch[k][:] = raw / raw.sum(axis=0)
+
+    confident(0, 0)
+    confident(1, 0)
+    ch[1][:, :8] = [[1.0], [0.0], [0.0], [0.0]]
+    random_softmax(2)
+    labels[2][:] = 2
+    labels[3][:] = rng.integers(0, 4, CHUNK)
+    labels[3][1, :4] = (labels[3][0, :4] + 1) % 4
+    confident(3, labels[3][0], 0.95, 0.99)  # one-vs-rest p >= 0.95 or <= 0.05/3: the top bin too
+    below, at = np.nextafter(dtype(EDGE), dtype(0)), dtype(EDGE)
+    while bin_of(below, 10) == bin_of(at, 10):  # in float32, EDGE rounds below the edge
+        below, at = at, np.nextafter(at, dtype(1))
+    p = np.where(np.arange(CHUNK) % 2 == 0, below, at).astype(np.float64)
+    ch[4][:] = [(1.0 - p) / 2.0, np.zeros(CHUNK), p, (1.0 - p) / 2.0]
+    labels[4][:] = 2
+    ch[5][:] = ch[0]
+    labels[5][1] = 1  # class 1 dissensus and no unanimous voxel: one region code
+    random_softmax(6)
+    labels[6][:] = rng.integers(0, 4, CHUNK)
+    for r in (1, 2):
+        flipped = rng.random(CHUNK) < 1 / 3
+        labels[6][r, flipped] = rng.integers(0, 4, int(flipped.sum()))
+    confident(7, 3)
+    labels[7][:] = 3
+
+    dims = (4, 4, 8)
+    pred = ProbabilityVolume(GridGeometry(dims, (1.0, 1.0, 1.0)), channels.astype(dtype).reshape(4, *dims))
+    return pred, [LabelVolume(pred.geometry, r.reshape(dims)) for r in raters]
+
+
+def chunk_kinds(pred, raters, classes, bins):
+    """Per chunk: (one region code, one multiclass bin, one bin for each class of ``classes``)."""
+    code = derive_regions(raters, classes=classes).code.reshape(-1)
+    channels = pred.channels.reshape(4, -1).astype(np.float64)
+    kinds = []
+    for start in range(0, code.size, CHUNK):
+        ch = channels[:, start : start + CHUNK]
+        one_bin = [np.ptp(bin_of(ch.max(axis=0), bins)) == 0]
+        one_bin += [np.ptp(bin_of(np.maximum(ch[c], 1.0 - ch[c]), bins)) == 0 for c in classes]
+        kinds.append((np.ptp(code[start : start + CHUNK]) == 0, *one_bin))
+    return kinds
+
+
+CONFIGS = {
+    "default": {},
+    "per-class": {"ece_per_class": True},
+    "argmax": {"argmax_mode": True},
+    "eq2_literal": {"eq2_literal": True},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [1 << 20, 24])
+@pytest.mark.parametrize("classes", [(1, 2, 3), (2,)])
+@pytest.mark.parametrize("exclude_dissensus", [False, True])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_homogeneous_chunks_match_the_oracles(dtype, block, classes, exclude_dissensus, config):
+    pred, raters = homogeneous_case(dtype)
+    kinds = chunk_kinds(pred, raters, classes, 10)
+    assert kinds[0] == (True, True, *[True] * len(classes))  # one code, one bin
+    assert kinds[3][0] is np.False_ and kinds[3][1]  # mixed codes, one bin
+    assert not any(kinds[6][1:])  # mixed bins
+    assert not kinds[4][1] and not kinds[4][2 + classes.index(2)]  # the edge splits the chunk
+    config = EvalConfig(classes=classes, ece_exclude_dissensus=exclude_dissensus, **CONFIGS[config])
+    with chunked(CHUNK, pred.geometry.n_voxels, block):
+        expected = expected_case_metrics(pred, raters, config, "c", "a")
+        regions = derive_regions(raters, classes=classes)
+        assert not regions.unanimous.to_bool().reshape(-1)[5 * CHUNK : 6 * CHUNK].any()  # nothing included
+        assert_same_case_metrics(evaluate_case(pred, (), config, "c", "a", regions), expected)
+        scores = confidence_scores(pred, regions)
+        assert scores.c_seg == expected.c_seg and scores.mean == expected.mean_c_seg
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_homogeneous_chunks_of_the_calibration_entry_points_match_the_reference(dtype):
+    pred, raters = homogeneous_case(dtype)
+    # an include mask whole in some chunks, empty in others, and mixed in the rest
+    mask = np.zeros(pred.geometry.n_voxels, dtype=bool)
+    mask[: 2 * CHUNK] = True
+    mask[4 * CHUNK : 5 * CHUNK] = True
+    mask[6 * CHUNK :: 3] = True
+    mask = mask.reshape(pred.geometry.dims)
+    with chunked(CHUNK, pred.geometry.n_voxels):
+        for include in (None, mask):
+            for class_id in (None, *ORGAN_CLASSES):
+                expected = calibration_reference(pred, raters, class_id, 10, False, include)
+                for r, e in zip(raters, expected):
+                    if class_id is None:
+                        assert_same_bins(cece(pred, r, 10, False, include), e)
+                    else:
+                        assert_same_bins(cece_binary(pred, r, class_id, 10, False, include), e)
+            values = [e.value for e in calibration_reference(pred, raters, None, 10, False, include)]
+            assert cece_multirater(pred, raters, 10, False, include) == mean_left_to_right(values)
+
+
+def test_binning_continues_each_bins_running_sum_alike_in_one_bin_and_mixed_chunks():
+    # The same voxel stream, cut into chunks that each hold one bin, and into chunks
+    # that each straddle bins: counts, hits and the confidence sums' bits agree.
+    rng = np.random.default_rng(7)
+    bins = 10
+    conf = np.concatenate([rng.uniform(0.9, 1.0, 40), [1.0] * 5, rng.uniform(0.3, 0.4, 30), rng.uniform(0.9, 1.0, 25)])
+    predicted = rng.integers(0, 4, conf.size)
+    truths = [predicted.copy(), rng.integers(0, 4, conf.size)]
+    one_bin_cuts, mixed_cuts = [0, 17, 45, 60, 75, 90, 100], [0, 50, 100]
+    results = []
+    for cuts in (one_bin_cuts, mixed_cuts, [0, conf.size]):
+        binning = metrics._Binning.empty(bins, len(truths))
+        for a, b in zip(cuts, cuts[1:]):
+            binning.add(conf[a:b].copy(), predicted[a:b], [t[a:b] for t in truths])
+        results.append(binning)
+    assert all(np.ptp(bin_of(conf[a:b], bins)) == 0 for a, b in zip(one_bin_cuts, one_bin_cuts[1:]))
+    assert all(np.ptp(bin_of(conf[a:b], bins)) > 0 for a, b in zip(mixed_cuts, mixed_cuts[1:]))
+    idx = bin_of(conf, bins)
+    reference = np.bincount(idx, weights=conf, minlength=bins)  # added in voxel order from zero
+    for binning in results:
+        assert binning.n == conf.size
+        assert binning.counts.tobytes() == np.bincount(idx, minlength=bins).tobytes()
+        assert binning.conf_sums.tobytes() == reference.tobytes()
+        for hits, truth in zip(binning.hits, truths):
+            assert hits.tobytes() == np.bincount(idx[predicted == truth], minlength=bins).tobytes()
+    # one truth stands for every rater
+    shared = metrics._Binning.empty(bins, 2)
+    for a, b in zip(one_bin_cuts, one_bin_cuts[1:]):
+        shared.add(conf[a:b].copy(), predicted[a:b], [truths[1][a:b]])
+    assert [h.tobytes() for h in shared.hits] == [results[0].hits[1].tobytes()] * 2
+
+
 # --- channel-sum validation ------------------------------------------------
 
 
