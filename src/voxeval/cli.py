@@ -12,10 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
 3 metric computation error, or any other unexpected exception while a
-case was read or evaluated (naming the case, the algorithm and the path),
-4 out of memory (while a case was read or evaluated, or in ranking, the
-bootstrap or the report), or a case worker process died. Input files are
-never modified.
+case was read or evaluated (naming the case, the algorithm and the path)
+or in ranking, the bootstrap or the report (naming the stage), 4 out of
+memory (while a case was read or evaluated, or in ranking, the bootstrap
+or the report), or a case worker process died. Input files are never
+modified.
 """
 
 import argparse
@@ -251,6 +252,10 @@ def run_evaluate(config: RunConfig) -> int:
         )
     except MemoryError as exc:
         raise ResourceError(f"out of memory in {stage} after the cases were evaluated (--iterations {config.iterations})") from exc
+    except (VoxevalError, OSError):
+        raise
+    except Exception as exc:  # a fault of the program, not of the input: an error line, not a traceback
+        raise MetricError(f"unexpected {type(exc).__name__} in {stage} after the cases were evaluated: {exc}") from exc
     print(f"evaluated {len({m.case_id for m in case_metrics})} cases x {len(ranking.rows)} algorithms")
     for row in ranking.rows:
         print(f"  {row.final_rank}. {row.algorithm} (composite {row.composite:g})")

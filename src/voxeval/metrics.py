@@ -226,11 +226,13 @@ class _Binning:
     counts: np.ndarray
     conf_sums: np.ndarray  # float64, added voxel by voxel in grid order
     hits: list[np.ndarray]
+    exact: list[bool]  # per bin: its confidences add exactly in any order (see _exact_bins)
     n: int = 0
 
     @classmethod
-    def empty(cls, bins: int, n_raters: int) -> "_Binning":
-        return cls(np.zeros(bins, np.intp), np.zeros(bins), [np.zeros(bins, np.intp) for _ in range(n_raters)])
+    def empty(cls, bins: int, n_raters: int, exact: list[bool] | None = None) -> "_Binning":
+        return cls(np.zeros(bins, np.intp), np.zeros(bins), [np.zeros(bins, np.intp) for _ in range(n_raters)],
+                   [False] * bins if exact is None else exact)
 
     def add(self, conf, predicted, truths) -> None:
         """One chunk: float64 confidences (overwritten), predictions and each rater's
@@ -239,16 +241,23 @@ class _Binning:
         Each bin's confidence sum is a running total that every voxel continues, in
         grid order, across chunks. When all of the chunk's confidences share a bin
         (the bin rule is monotone, so the bins of the smallest and the largest
-        match), cumsum from that total adds them exactly as np.add.at does.
+        match), cumsum from that total adds them exactly as np.add.at does, and in
+        an exact bin every order gives those bits, so np.sum adds them.
         """
         n, bins = conf.size, self.counts.size
         if n == 0:
             return
-        lo, hi = (min(math.floor(c * bins), bins - 1) for c in (conf.min(), conf.max()))
+        smallest, largest = conf.min(), conf.max()
+        if largest > 1.0:  # only the top bin holds values above 1; _exact_bins assumes none
+            self.exact[-1] = False
+        lo, hi = (min(math.floor(c * bins), bins - 1) for c in (smallest, largest))
         if lo == hi:
             at, counts = lo, n
-            conf[0] += self.conf_sums[lo]
-            self.conf_sums[lo] = np.cumsum(conf, out=conf)[-1]
+            if lo > 0 and self.exact[lo]:  # a negative lo is a confidence below 0: no floor
+                self.conf_sums[lo] += np.sum(conf)
+            else:
+                conf[0] += self.conf_sums[lo]
+                self.conf_sums[lo] = np.cumsum(conf, out=conf)[-1]
             wrong = [np.count_nonzero(predicted != truth) for truth in truths]
         else:
             idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
@@ -275,6 +284,24 @@ class _Binning:
             value = float(np.sum(self.counts[occupied] / denom * np.abs(acc_mean[occupied] - conf_mean[occupied])))
             out.append(CalibrationBins(bins, self.counts, conf_mean, acc_mean, self.n, value, literal))
         return out
+
+
+def _exact_bins(bins: int, n_voxels: int) -> list[bool]:
+    """Per bin: whether float32 confidences in it, at most ``n_voxels`` of them and
+    none above 1, add exactly in float64 in any order.
+
+    v * bins is exact in float64 for a float32 v (bins < 2**29), so every value
+    in bin b >= 1 is at least b / bins, at least 2**e for e = floor(log2(b /
+    bins)), and so a multiple of 2**(e - 23). Every partial sum is then a
+    multiple of it of at most ``n_voxels``, which float64 holds exactly while
+    ``n_voxels <= 2**(e + 30)``: in every bin from the first b >= bins * 2**k
+    on, k the smallest such e. Bin 0 has no floor.
+    """
+    if bins >= 1 << 29:
+        return [False] * bins
+    k = (n_voxels - 1).bit_length() - 30
+    first = min(bins, max(1, bins << k if k >= 0 else -(-bins >> -k)))  # ceil(bins * 2**k)
+    return [False] * first + [True] * (bins - first)
 
 
 @dataclass
@@ -338,7 +365,9 @@ def _one_pass(
         fg_sum={c: _RegionSum(channels[c], regions[c].fg) for c in confidence},
         bg_sum={c: _RegionSum(channels[c], regions[c].bg) for c in confidence},
         volume={c: [] for c in volume},
-        binning={t: _Binning.empty(bins, n_raters) for t in calibrate},
+        # multiclass float32 confidences have a floor in each bin b >= 1, one-vs-rest ones (1 - p in float64) do not
+        binning={t: _Binning.empty(bins, n_raters, _exact_bins(bins, channels.shape[1])
+                                   if t is None and channels.dtype == np.float32 else None) for t in calibrate},
     )
     region_classes = {c: regions[c] for c in (*dice, *confidence)}
     need_argmax = None in stats.binning or (argmax_mode and bool(dice))

@@ -20,22 +20,26 @@ data the channel axis is slowest (one full 3D block per channel).
 Reads are bounded. The header is validated before any payload byte is
 read, and nothing past the payload it declares is held. Each payload is
 decoded straight into its owned, native-order memory layout ([x,y,z] or
-[c,x,y,z]) through a reused slab of at most SLAB_PLANES z-planes and at
-most SLAB_BYTES (8 MiB, so 8 planes of a 512x512 float32 channel), so a
-read holds the decoded array plus one slab, and a gzip file is inflated
-from disk INFLATE_BYTES at a time. An integer probability map is decoded
-straight to float32, and renormalized, if asked, in that same array. A
-float-typed label map is checked and cast to uint8 chunk by chunk.
+[c,x,y,z]) a slab of z-planes of one channel at a time, and a gzip file is
+inflated from disk INFLATE_BYTES at a time. Every channel of a
+probability map but the last is staged in the last channel's memory,
+which is not decoded yet, in slabs of SLAB_PLANES planes; the last
+channel and a label map are read through one reused slab of their own of
+at most SLAB_PLANES planes and SLAB_BYTES (7 planes of a 512x512 float32
+channel), so a read holds the decoded array plus that one slab. An
+integer probability map is decoded straight to float32, and renormalized,
+if asked, in that same array. A float-typed label map is checked and cast
+to uint8 chunk by chunk.
 
 Writes run the same way backwards: each slab is transposed from the
 memory layout into one reused little-endian buffer and written out, so a
 write holds one slab besides the volume. In both directions a slab is
-transposed in TILE x TILE (x, y) blocks, which keep the pages each copy
-touches cached.
+transposed a band of BAND_ROWS y-rows at a time, in two passes through a
+contiguous buffer beside the slab, so that each pass reads and writes
+long runs (see _transpose_into).
 """
 
 import gzip
-import itertools
 import json
 import math
 import operator
@@ -66,12 +70,13 @@ MAGIC = b"n+1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 #: Largest piece of a gzip stream inflated at once, and of compressed input fed to zlib at once.
 INFLATE_BYTES = 1 << 16
-#: Most z-planes of one channel decoded or encoded at a time: the staging slab of every read and write.
+#: Most z-planes of one channel decoded or encoded at a time: the slab of every read and write.
 SLAB_PLANES = 16
-#: Most bytes of one slab: planes larger than SLAB_BYTES / SLAB_PLANES get fewer planes a slab (at least one).
+#: Most bytes of a slab of its own and its band (a write, a label map, a last channel): planes larger
+#: than SLAB_BYTES / SLAB_PLANES get fewer planes a slab (at least one). Staged slabs are not capped.
 SLAB_BYTES = 8 << 20
-#: Side of the (x, y) blocks in which a slab is transposed between file order and memory layout.
-TILE = 32
+#: y-rows of the bands in which a slab is transposed between file order and memory layout.
+BAND_ROWS = 32
 
 # datatype code -> (numpy base dtype, bitpix)
 DTYPE_CODES = {
@@ -197,38 +202,65 @@ def _skip(stream, n: int) -> int:
     return done
 
 
-def _slab_planes(plane_bytes: int) -> int:
-    """z-planes a slab holds: SLAB_PLANES, or fewer so that the slab stays within SLAB_BYTES."""
-    return min(SLAB_PLANES, max(1, SLAB_BYTES // plane_bytes))
+def _slab_planes(capacity: int, plane_bytes: int, band_bytes: int, dz: int) -> int:
+    """z-planes of one channel, at most SLAB_PLANES and ``dz``, whose file bytes and band
+    (``plane_bytes`` and ``band_bytes`` a plane) fit in ``capacity`` bytes; 0 if not one does."""
+    return min(SLAB_PLANES, dz, capacity // (plane_bytes + band_bytes))
 
 
-def _slab_parts(arr: np.ndarray, planes: int):
-    """The [x, y, z0:z0+nz] views of ``arr`` ([x,y,z] or [c,x,y,z]) in file order.
+def _band_bytes(dx: int, dy: int, itemsize: int) -> int:
+    """Band bytes per z-plane of a slab: BAND_ROWS y-rows of ``itemsize`` values, or none
+    when a slab fits in one band and is copied in one assignment."""
+    return BAND_ROWS * dx * itemsize if dy > BAND_ROWS else 0
 
-    Channel by channel, ``planes`` z-planes at a time: the order in which
-    the x-fastest payload holds them.
+
+def _split(buf: np.ndarray, planes: int, plane_bytes: int, band_bytes: int, band_dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The slab (``planes`` z-planes of file bytes) and the band laid out in the uint8 ``buf``.
+
+    The band comes first: its size is a multiple of its itemsize, which is at
+    least the file's, so both stay aligned.
     """
-    dz = arr.shape[-1]
-    for block in arr if arr.ndim == 4 else (arr,):
-        for z0 in range(0, dz, planes):
-            yield block[:, :, z0 : z0 + planes]
+    split = planes * band_bytes
+    return buf[split : split + planes * plane_bytes], buf[:split].view(band_dtype)
 
 
-def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[...] = src.transpose(2, 1, 0)``, one TILE-sided block at a time.
+def _transpose_into(layout: np.ndarray, file: np.ndarray, band: np.ndarray, decode: bool) -> None:
+    """``layout[...] = file.transpose(2, 1, 0)`` if ``decode``, else the reverse, one band of y-rows at a time.
 
-    One of the two is a slab in memory layout [x, y, z], the other the same
-    slab in file order [z, y, x]. A whole-slab assignment walks ``dst`` in
-    C order, and consecutive values along its last axis lie far apart in
-    ``src`` (a z-plane of the file, or a y-z sheet of the layout), so
-    nearly every value copied touches another page; a TILE x TILE block
-    touches few enough pages and cache lines to keep them cached. The
-    assignment converts byte order and dtype as the whole-slab one does,
-    and a slab that fits one block is copied in one assignment.
+    ``layout`` is a slab in memory layout [x, y, z], ``file`` the same slab in
+    file order [z, y, x], and ``band`` a flat buffer of layout's dtype, of at
+    least BAND_ROWS x-rows of the slab. A whole-slab assignment walks its
+    destination in C order, and consecutive values along its last axis lie
+    far apart in its source, so nearly every value copied touches another
+    page. Each band of y-rows is instead copied in two passes: a 2D
+    transpose between the file's [z, rows * x] rows, each read or written
+    in long runs, and the contiguous band as [rows * x, z]; and a copy
+    between the band as [x, rows, z] and the layout, whose z-runs are
+    whole. Writes run the two passes backwards. The file-side pass
+    converts byte order and dtype as the whole-slab assignment does, and a
+    slab that fits in one band is copied in one assignment.
     """
-    src = src.transpose(2, 1, 0)
-    for i, j, k in itertools.product(*(range(0, n, TILE) for n in dst.shape)):
-        dst[i : i + TILE, j : j + TILE, k : k + TILE] = src[i : i + TILE, j : j + TILE, k : k + TILE]
+    dx, dy, nz = layout.shape
+    if dy <= BAND_ROWS:
+        if decode:
+            layout[...] = file.transpose(2, 1, 0)
+        else:
+            file[...] = layout.transpose(2, 1, 0)
+        return
+    for y0 in range(0, dy, BAND_ROWS):
+        rows = min(BAND_ROWS, dy - y0)
+        flat = file[:, y0 : y0 + rows].reshape(nz, rows * dx)  # a view: each plane's rows are contiguous
+        columns = band[: rows * dx * nz].reshape(rows * dx, nz)
+        sheet = columns.reshape(rows, dx, nz).transpose(1, 0, 2)
+        if decode:
+            columns[...] = flat.T
+            layout[:, y0 : y0 + rows] = sheet
+        else:
+            # numpy walks an assignment in its destination's order, which here would step the
+            # layout's x by a whole y-z sheet a value: read BAND_ROWS x-columns of it at a time
+            for x0 in range(0, dx, BAND_ROWS):
+                sheet[x0 : x0 + BAND_ROWS] = layout[x0 : x0 + BAND_ROWS, y0 : y0 + rows]
+            flat.T[...] = columns
 
 
 def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> tuple[np.ndarray, int]:
@@ -238,11 +270,18 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
     of (slope, inter) maps each value p to ``p * slope + inter``, with the
     dtype and the bits the whole-array expression gives. Without one the
     file's dtype is kept, except that integer channels decode to float32,
-    which holds every uint8 and int16 value exactly. The stream is read
-    into one reused slab of at most SLAB_PLANES z-planes of one channel and
-    at most SLAB_BYTES, and each slab is byte-swapped, transposed (see
-    _transpose_into), cast and scaled into place, so a read holds the array
-    and one slab.
+    which holds every uint8 and int16 value exactly.
+
+    The stream is read a slab of z-planes of one channel at a time, and each
+    slab is byte-swapped, transposed (see _transpose_into), cast and scaled
+    into place. Every channel but the last is staged in the last channel's
+    memory, not decoded yet: each slab, with its band, holds as many planes
+    up to SLAB_PLANES as that memory does, whatever SLAB_BYTES allows (the
+    decoded itemsize is never below the file's, so it holds at least one
+    channel of file bytes). The last channel and a label map are read
+    through one slab and band of their own, of at most SLAB_PLANES planes
+    and SLAB_BYTES (at least one plane), so a read holds the array and that
+    one buffer.
 
     Returns the array and the number of bytes read. Fewer than the
     payload means the stream ended first and the array is incomplete.
@@ -250,55 +289,66 @@ def _read_payload(stream, dtype: np.dtype, dims, channels: int, scale=None) -> t
     dx, dy, dz = dims
     native = dtype.newbyteorder("=")
     shape = (dx, dy, dz) if channels == 0 else (channels, dx, dy, dz)
-    plane = dy * dx * dtype.itemsize
-    planes = _slab_planes(plane)
     if scale is not None:
         out_dtype = np.result_type(native, scale[0])
     elif channels and native.kind != "f":
         out_dtype = np.dtype(np.float32)
     else:
         out_dtype = native
+    plane, band = dy * dx * dtype.itemsize, _band_bytes(dx, dy, out_dtype.itemsize)
+    own_planes = max(1, _slab_planes(SLAB_BYTES, plane, band, dz))
     try:
         # pages of a truncated stream's missing planes are never touched
         out = np.empty(shape, dtype=out_dtype)
-        slab = np.empty(min(dz, planes) * plane, dtype=np.uint8)
+        own = np.empty(own_planes * (plane + band), dtype=np.uint8)
     except (MemoryError, ValueError) as exc:
         n_bytes = math.prod(shape) * dtype.itemsize
         raise FormatError(f"header declares {n_bytes} payload bytes, more than can be held: {exc}") from exc
+    blocks = out if channels else (out,)
+    staged_planes = _slab_planes(blocks[-1].nbytes, plane, band, dz)
 
     got = 0
-    for part in _slab_parts(out, planes):
-        nz = part.shape[2]
-        n = stream.readinto(slab[: nz * plane])
-        got += n
-        if n < nz * plane:
-            return out, got
-        _transpose_into(part, slab[: nz * plane].view(dtype).reshape(nz, dy, dx))
-        if scale is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
-                part *= scale[0]
-                part += scale[1]
+    for c, block in enumerate(blocks):
+        planes, buf = own_planes, own
+        if c < len(blocks) - 1 and staged_planes:
+            planes, buf = staged_planes, blocks[-1].reshape(-1).view(np.uint8)
+        slab, band_buf = _split(buf, planes, plane, band, out_dtype)
+        for z0 in range(0, dz, planes):
+            part = block[:, :, z0 : z0 + planes]
+            n_bytes = part.shape[2] * plane
+            n = stream.readinto(slab[:n_bytes])
+            got += n
+            if n < n_bytes:
+                return out, got
+            _transpose_into(part, slab[:n_bytes].view(dtype).reshape(-1, dy, dx), band_buf, decode=True)
+            if scale is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by the caller
+                    part *= scale[0]
+                    part += scale[1]
     return out, got
 
 
 def _write_payload(f, arr: np.ndarray) -> None:
     """Write ``arr`` ([x,y,z] or [c,x,y,z]) to ``f`` as a little-endian x-fastest payload.
 
-    Each slab of z-planes of one channel (as many as a read of the file
-    takes) is transposed into one reused buffer (see _transpose_into) and
-    written INFLATE_BYTES at a time, so a write holds one slab besides the
-    array, and a gzip ``f`` compresses, and holds the output of, one piece
-    at a time.
+    Each slab of z-planes of one channel is transposed (see _transpose_into)
+    into one reused buffer of at most SLAB_PLANES planes and SLAB_BYTES with
+    its band, and written INFLATE_BYTES at a time, so a write holds one slab
+    besides the array, and a gzip ``f`` compresses, and holds the output
+    of, one piece at a time.
     """
     dx, dy, dz = arr.shape[-3:]
-    planes = _slab_planes(dy * dx * arr.itemsize)
-    slab = np.empty((min(dz, planes), dy, dx), dtype=arr.dtype.newbyteorder("<"))
-    for part in _slab_parts(arr, planes):
-        file_part = slab[: part.shape[2]]
-        _transpose_into(file_part, part)
-        data = file_part.reshape(-1).view(np.uint8)
-        for start in range(0, len(data), INFLATE_BYTES):
-            f.write(data[start : start + INFLATE_BYTES])
+    plane, band = dy * dx * arr.itemsize, _band_bytes(dx, dy, arr.itemsize)
+    planes = max(1, _slab_planes(SLAB_BYTES, plane, band, dz))
+    slab, band_buf = _split(np.empty(planes * (plane + band), dtype=np.uint8), planes, plane, band, arr.dtype)
+    file_dtype = arr.dtype.newbyteorder("<")
+    for block in arr if arr.ndim == 4 else (arr,):
+        for z0 in range(0, dz, planes):
+            part = block[:, :, z0 : z0 + planes]
+            data = slab[: part.shape[2] * plane]
+            _transpose_into(part, data.view(file_dtype).reshape(-1, dy, dx), band_buf, decode=False)
+            for start in range(0, len(data), INFLATE_BYTES):
+                f.write(data[start : start + INFLATE_BYTES])
 
 
 def _parse_header(raw: bytes) -> dict:

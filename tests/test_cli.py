@@ -418,6 +418,28 @@ def test_validate_nan_vox_offset_is_exit_2_naming_file(phantom_dir, capsys):
     assert "vox_offset nan" in err
 
 
+def test_validate_prediction_cut_inside_a_staged_slab_is_exit_2(phantom_dir, capsys):
+    import gzip
+
+    from conftest import random_probability_volume
+    from voxeval.nifti import BAND_ROWS, write_nifti
+
+    # y-rows of two bands and more, so that channels 0-2 are staged with their bands in channel 3
+    dims = (6, 2 * BAND_ROWS + 3, 20)
+    victim = next((phantom_dir / "volumes").glob("case_001_pred_good*"))
+    write_nifti(random_probability_volume(np.random.default_rng(2), dims), victim)
+    raw = gzip.decompress(victim.read_bytes())
+    plane = dims[0] * dims[1] * 4
+    kept = dims[2] * plane + 3 * plane + 5  # inside channel 1's first slab
+    victim.write_bytes(gzip.compress(raw[: 352 + kept], mtime=0))
+    assert main(["validate", str(phantom_dir / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {victim}: payload truncated: need {4 * dims[0] * dims[1] * dims[2] * 4} bytes "
+        f"at offset 352, file has {kept}\n"
+    )
+
+
 def test_validate_desk_zero_dim_is_exit_2_naming_file(phantom_dir, capsys):
     victim = phantom_dir / "volumes" / "flat_pred.json"
     victim.write_text('{"dims": [0, 4, 4], "spacing_mm": [1, 1, 1], "dtype": "float32", "channels": 4}')
@@ -706,6 +728,26 @@ def test_out_of_memory_after_the_cases_is_exit_4_naming_the_stage(phantom_dir, t
     assert main(["evaluate", str(phantom_dir / "manifest.json"), "--out", str(out), "--iterations", "7"]) == 4
     err = capsys.readouterr().err
     assert err == f"error: out of memory in {stage} after the cases were evaluated (--iterations 7)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, stage", [("rank_cases", "ranking"), ("bootstrap_ranks", "the bootstrap"), ("emit", "the report")]
+)
+def test_an_unexpected_exception_after_the_cases_is_exit_3_naming_the_stage(
+    phantom_dir, tmp_path, monkeypatch, capsys, target, stage
+):
+    from voxeval import cli
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("a fault of the program")
+
+    monkeypatch.setattr(cli, target, fault)
+    out = tmp_path / "r"
+    assert main(["evaluate", str(phantom_dir / "manifest.json"), "--out", str(out), "--iterations", "7"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: unexpected RuntimeError in {stage} after the cases were evaluated: a fault of the program\n"
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Volume reading/writing: header subset, endianness, round trips."""
 
 import gzip
+import io
 import itertools
 import json
 import math
@@ -38,7 +39,7 @@ from voxeval.nifti import (
     read_nifti,
     SLAB_BYTES,
     SLAB_PLANES,
-    TILE,
+    BAND_ROWS,
     read_volume,
     write_nifti,
 )
@@ -175,7 +176,7 @@ def test_write_is_deterministic(tmp_path, rng):
 @pytest.mark.parametrize("capped", [False, True], ids=["planes", "bytes"])
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".json"], ids=["nii", "nii.gz", "desk"])
 def test_slab_writers_match_the_whole_array_writer(tmp_path, monkeypatch, rng, suffix, capped):
-    dims = (TILE + 3, TILE + 1, SLAB_PLANES + 1)  # four tiles with ragged edges, two slabs
+    dims = (BAND_ROWS + 3, BAND_ROWS + 1, SLAB_PLANES + 1)  # two bands, the second of one y-row, and two slabs
     if capped:
         _capped(monkeypatch, dims)
     g = geom(dims, (0.61, 0.8, 2.5))
@@ -545,18 +546,18 @@ _DECODE_CASES = [
 ]
 
 
-# (dims, channels, scaled, vox_offset) of the decode tests: slab edges on a grid inside one tile,
-# and tile edges on grids that span several TILE x TILE blocks with ragged last blocks
+# (dims, channels, scaled, vox_offset) of the decode tests: slab edges on a grid inside one band,
+# and band edges on a grid of three bands, the last of one y-row, and on one just inside one band
 _SLAB_GRIDS = [
     ((3, 2, dz), channels, scaled, vox_offset)
     for channels, dz, scaled, vox_offset in itertools.product(
         (0, 4), (1, 15, 16, 17, 40), (False, True), (352.0, 66000.0)
     )
 ]
-_TILE_GRIDS = [
+_BAND_GRIDS = [
     (dims, channels, scaled, 352.0)
     for dims, channels, scaled in itertools.product(
-        [(TILE + 3, 2 * TILE + 1, SLAB_PLANES + 1), (2 * TILE, TILE - 1, 3)], (0, 4), (False, True)
+        [(BAND_ROWS + 3, 2 * BAND_ROWS + 1, SLAB_PLANES + 1), (2 * BAND_ROWS, BAND_ROWS - 1, 3)], (0, 4), (False, True)
     )
 ]
 
@@ -567,8 +568,8 @@ def test_slab_decode_matches_whole_array_decode(tmp_path, container, base, endia
 
 
 @pytest.mark.parametrize("container, base, endian", _DECODE_CASES)
-def test_tile_decode_matches_whole_array_decode(tmp_path, container, base, endian):
-    _assert_decodes_like_whole_array(tmp_path, container, base, endian, _TILE_GRIDS)
+def test_band_decode_matches_whole_array_decode(tmp_path, container, base, endian):
+    _assert_decodes_like_whole_array(tmp_path, container, base, endian, _BAND_GRIDS)
 
 
 @pytest.mark.parametrize("container, base, endian", _DECODE_CASES)
@@ -630,6 +631,91 @@ def test_payload_cut_is_truncated_with_exact_byte_counts(tmp_path, compress, kep
     message = f"payload truncated: need {len(payload)} bytes at offset 352, file has {kept}"
     with pytest.raises(FormatError, match=re.escape(message)):
         read_volume(p)
+
+
+class _RecordedStream(io.BytesIO):
+    """A payload stream that records the byte count of every ``readinto``: one per slab."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.reads = []
+
+    def readinto(self, buf) -> int:
+        self.reads.append(len(buf))
+        return super().readinto(buf)
+
+
+def _slab_planes_by_channel(reads, plane: int, dz: int, blocks: int) -> list[list[int]]:
+    """The planes of each slab read, channel by channel."""
+    planes, out = [r // plane for r in reads], []
+    for _ in range(blocks):
+        slabs = []
+        while sum(slabs) < dz:
+            slabs.append(planes.pop(0))
+        out.append(slabs)
+    assert not planes
+    return out
+
+
+# y-rows not a multiple of BAND_ROWS, z-planes a multiple of neither 16 nor 8; one band; one plane
+_PAYLOAD_DIMS = [(5, 2 * BAND_ROWS + 3, 21), (3, BAND_ROWS - 1, 11), (4, BAND_ROWS + 5, 1)]
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["planes", "bytes"])
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("channels", [0, 4])
+@pytest.mark.parametrize("endian", "<>")
+@pytest.mark.parametrize("base", ["u1", "i2", "f4", "f8"])
+def test_payload_codec_matches_the_whole_array_codec(monkeypatch, base, endian, channels, scaled, capped):
+    rng = np.random.default_rng(3)
+    dtype = np.dtype(endian + base)
+    for dims in _PAYLOAD_DIMS:
+        if capped:
+            _capped(monkeypatch, dims)
+        values = _readable_values(rng, base, dims, channels, scaled)
+        payload = _file_payload(values, dtype)
+        scale = ((2.0, 1.0) if channels == 0 else (0.25, 0.0)) if scaled else None
+        stream = _RecordedStream(payload)
+        arr, got = nifti._read_payload(stream, dtype, dims, channels, scale)
+        expected = decode_payload_reference(payload, dtype, dims, channels, scale)
+        if channels and expected.dtype.kind != "f":  # integer channels decode to float32
+            expected = expected.astype(np.float32)
+        assert got == len(payload)
+        assert arr.dtype == expected.dtype and arr.flags.c_contiguous, dims
+        assert arr.tobytes() == expected.tobytes(), dims
+        plane = dims[0] * dims[1] * dtype.itemsize
+        slabs = _slab_planes_by_channel(stream.reads, plane, dims[2], max(channels, 1))
+        assert all(max(s) <= SLAB_PLANES for s in slabs)
+        # the writer gives the little-endian file bytes of the array, of any byte order
+        f = io.BytesIO()
+        nifti._write_payload(f, values.astype(dtype))
+        assert f.getvalue() == _file_payload(values, "<" + base), dims
+
+
+def test_last_channel_of_wide_planes_is_read_in_fewer_planes_than_the_staged_ones():
+    # 1 MiB float32 planes: channels 0-2 are staged 8 planes at a time in channel 3's 9 MiB,
+    # and channel 3 is read through its own slab and band within SLAB_BYTES
+    dims = (512, 512, 9)
+    payload = np.arange(4 * math.prod(dims), dtype="<f4").tobytes()
+    stream = _RecordedStream(payload)
+    arr, got = nifti._read_payload(stream, np.dtype("<f4"), dims, 4)
+    assert got == len(payload)
+    assert arr.tobytes() == decode_payload_reference(payload, "<f4", dims, 4).tobytes()
+    slabs = _slab_planes_by_channel(stream.reads, 512 * 512 * 4, dims[2], 4)
+    assert slabs == [[8, 1]] * 3 + [[7, 2]]  # 7 planes and their 64 KiB bands fit in SLAB_BYTES
+
+
+def test_staged_slabs_hold_sixteen_planes_whatever_slab_bytes_allows(monkeypatch):
+    dims = (5, 2 * BAND_ROWS + 3, 37)
+    _capped(monkeypatch, dims)  # 3 float32 planes
+    values = _readable_values(np.random.default_rng(4), "f4", dims, 4, False)
+    payload = _file_payload(values, ">f4")
+    stream = _RecordedStream(payload)
+    arr, _ = nifti._read_payload(stream, np.dtype(">f4"), dims, 4)
+    assert arr.tobytes() == decode_payload_reference(payload, ">f4", dims, 4).tobytes()
+    slabs = _slab_planes_by_channel(stream.reads, 5 * dims[1] * 4, dims[2], 4)
+    assert slabs[:3] == [[16, 16, 5]] * 3
+    assert max(slabs[3]) == 2, slabs  # its bands take a share of the 3 planes of SLAB_BYTES
 
 
 def _read_peak(path, renormalize=False) -> tuple[np.ndarray, int]:

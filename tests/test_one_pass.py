@@ -403,6 +403,106 @@ def test_binning_continues_each_bins_running_sum_alike_in_one_bin_and_mixed_chun
     assert [h.tobytes() for h in shared.hits] == [results[0].hits[1].tobytes()] * 2
 
 
+def _in_bin(rng, b, bins, n, dtype):
+    """``n`` values of ``dtype`` in bin ``b`` by the oracles' rule, drawn with full mantissas."""
+    lo, hi = b / bins, (b + 1) / bins
+    values = np.empty(0, dtype=dtype)
+    while values.size < n:
+        draw = rng.uniform(lo, hi, 4 * n).astype(dtype)
+        values = np.concatenate([values, draw[bin_of(draw, bins) == b]])
+    return values[:n]
+
+
+def _calibration_grid(conf: np.ndarray) -> tuple[ProbabilityVolume, LabelVolume]:
+    """A prediction whose multiclass confidence is ``conf`` (channel 2, the others a third
+    of it or less), in grid order, and a rater that agrees with the argmax on every other voxel."""
+    dims = (4, 4, conf.size // 16)
+    channels = np.empty((4, conf.size), dtype=conf.dtype)
+    channels[0] = channels[1] = channels[3] = conf / 3
+    channels[2] = conf
+    truth = np.where(np.arange(conf.size) % 2 == 0, 2, 1).astype(np.uint8)
+    g = GridGeometry(dims, (1.0, 1.0, 1.0))
+    return ProbabilityVolume(g, channels.reshape(4, *dims)), LabelVolume(g, truth.reshape(dims))
+
+
+@pytest.mark.parametrize("bins", [10, 15, 100])
+def test_float32_one_bin_chunks_in_exact_bins_match_the_oracle_without_cumsum(bins):
+    # chunks of one bin: 1, 2 and the top bin's clamp (1.0 among them), then one mixed chunk,
+    # then bin 0, which keeps its running cumsum
+    rng = np.random.default_rng(bins)
+    top = _in_bin(rng, bins - 1, bins, 2 * CHUNK, np.float32)
+    top[::5] = 1.0
+    pieces = [_in_bin(rng, 1, bins, 2 * CHUNK, np.float32), _in_bin(rng, 2, bins, 2 * CHUNK, np.float32), top,
+              rng.permutation(np.concatenate([_in_bin(rng, b, bins, 4, np.float32) for b in (1, 2, bins - 1, 0)])),
+              _in_bin(rng, 0, bins, CHUNK, np.float32)]
+    conf = np.concatenate(pieces)
+    pred, rater = _calibration_grid(conf)
+    assert metrics._exact_bins(bins, conf.size)[1:] == [True] * (bins - 1)
+    with chunked(CHUNK, conf.size), mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
+        got = cece(pred, rater, bins)
+    assert cumsum.call_count == 1  # the bin-0 chunk only
+    assert_same_bins(got, calibration_reference(pred, [rater], None, bins)[0])
+
+
+def _chunk_sums_differ(values: np.ndarray) -> bool:
+    """Whether a running total that adds np.sum of each CHUNK gives other bits than adding in order."""
+    total = 0.0
+    for k in range(0, values.size, CHUNK):
+        total += np.sum(values[k : k + CHUNK])
+    return total != np.cumsum(values)[-1]
+
+
+def test_float64_one_bin_chunks_keep_their_running_cumsum():
+    rng = np.random.default_rng(0)
+    conf = _in_bin(rng, 5, 10, 4 * CHUNK, np.float64)
+    assert _chunk_sums_differ(conf)  # np.sum would give other bits
+    pred, rater = _calibration_grid(conf)
+    with chunked(CHUNK, pred.geometry.n_voxels):
+        got = cece(pred, rater, 10)
+    assert_same_bins(got, calibration_reference(pred, [rater], None, 10)[0])
+
+
+def test_one_vs_rest_one_bin_chunks_keep_their_running_cumsum():
+    # float32 kidney probabilities far below 0.5: 1 - p in float64 has no floor of exact multiples
+    rng = np.random.default_rng(1)
+    p = rng.uniform(1e-9, 1e-7, 4 * CHUNK).astype(np.float32)
+    conf = 1.0 - p.astype(np.float64)
+    assert _chunk_sums_differ(conf)
+    pred, rater = _calibration_grid(np.full(p.size, 0.6, dtype=np.float32))
+    channels = np.array(pred.channels)
+    channels[2] = p.reshape(pred.geometry.dims)
+    pred = ProbabilityVolume(pred.geometry, channels)
+    with chunked(CHUNK, p.size):
+        got = cece_binary(pred, rater, 2, 10)
+    assert_same_bins(got, calibration_reference(pred, [rater], 2, 10)[0])
+
+
+def test_a_confidence_above_1_ends_the_top_bins_exact_sums():
+    # an unchecked prediction: 2**30 lands in the top bin, and the confidences after it round
+    rng = np.random.default_rng(2)
+    conf = _in_bin(rng, 9, 10, 4 * CHUNK, np.float32)
+    conf[3] = 2.0**30
+    assert _chunk_sums_differ(conf.astype(np.float64))
+    pred, rater = _calibration_grid(conf)
+    with chunked(CHUNK, conf.size):
+        got = cece(pred, rater, 10)
+    assert_same_bins(got, calibration_reference(pred, [rater], None, 10)[0])
+
+
+@pytest.mark.parametrize("bins", [2, 3, 10, 15, 100, 1000])
+def test_exact_bins_follow_the_bound_at_its_edge(bins):
+    from fractions import Fraction
+
+    for b in range(1, bins):
+        e = 0  # floor(log2(b / bins)), in exact rationals
+        while Fraction(2) ** e > Fraction(b, bins):
+            e -= 1
+        edge = 2 ** (30 + e)
+        assert metrics._exact_bins(bins, edge)[b], (b, edge)
+        assert not metrics._exact_bins(bins, edge + 1)[b], (b, edge)
+    assert not any(metrics._exact_bins(bins, n)[0] for n in (1, 2**20))
+
+
 # --- channel-sum validation ------------------------------------------------
 
 
