@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
 case was read or evaluated (naming the case, the algorithm and the path)
 or in ranking, the bootstrap or the report (naming the stage), 4 out of
 memory (while a case was read or evaluated, or in ranking, the bootstrap
-or the report), or a case worker process died. Input files are never
-modified.
+or the report), a phantom grid too large to hold, or a case worker
+process died. Input files are never modified.
 """
 
 import argparse
@@ -274,8 +274,8 @@ def run_phantom(spec_path, out_dir) -> int:
         raise ValidationError(f"phantom spec {spec_path} is not valid JSON: {exc}") from exc
     try:
         manifest_path = write_dataset(doc, out_dir)
-    except ValidationError as exc:
-        raise ValidationError(f"phantom spec {spec_path}: {exc}") from exc
+    except (ValidationError, ResourceError) as exc:
+        raise type(exc)(f"phantom spec {spec_path}: {exc}") from exc
     print(f"phantom dataset written; manifest at {manifest_path}")
     return EXIT_OK
 

@@ -51,10 +51,6 @@ class DatasetManifest:
     def algorithms(self) -> tuple[str, ...]:
         return tuple(sorted(self.cases[0].algorithm_predictions))
 
-    @property
-    def case_ids(self) -> tuple[str, ...]:
-        return tuple(c.case_id for c in self.cases)
-
     def filtered(self, group: str | None) -> "DatasetManifest":
         if group is None:
             return self

@@ -24,13 +24,12 @@ regions, ``evaluate_case`` scores them from ``regions.labels`` and needs
 no label map, and the calibration entry points pack their own. A compare
 chain gives argmax and max together, Dice TP/FP and the calibration bin
 counts and correct-counts are integers, calibration confidence sums are
-added voxel by voxel in grid order, and the c_fg/c_bg and volume sums
-carry their open SUM_BLOCK-value block across chunks: a volume sum adds
-each block, a view of its channel, once the chunks have passed it; a
-c_fg/c_bg sum records the grid spans of its chunks and gathers them once
-when the block closes. So the results are bit-identical whatever the
-chunk size, and the working memory is bounded by one chunk and one block,
-not by the grid.
+added voxel by voxel in grid order, and every c_fg, c_bg and volume sum
+is one ``_BlockSum``: it carries its open SUM_BLOCK-value block across
+chunks as grid spans and sums it when it closes, as a view of the channel
+where the block is one run of whole chunks (always, for a volume). So the
+results are bit-identical whatever the chunk size, and the working memory
+is bounded by one chunk and one block, not by the grid.
 
 Homogeneous chunks skip per-voxel work and give the same bits. A chunk of
 one region code selects each region wholly or not at all: Dice counts its
@@ -59,9 +58,9 @@ SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Values per block of a channel sum over the grid or a region: each block, in grid order,
-#: is summed in float64 by np.sum (pairwise) and math.fsum adds the block totals exactly,
-#: so 1e8-voxel volumes do not drift and every chunk size gives the same bits.
+#: Values per block of a channel sum over the grid or a region (``_BlockSum``): each block,
+#: in grid order, is summed in float64 by np.sum (pairwise) and math.fsum adds the block
+#: totals exactly, so 1e8-voxel volumes do not drift and every chunk size gives the same bits.
 SUM_BLOCK = 1 << 20
 
 
@@ -98,27 +97,26 @@ def _require_sigma_convention(convention: str) -> None:
         raise ParameterError(f"unknown sigma convention {convention!r}")
 
 
-def _block_total(block: np.ndarray) -> float:
-    return float(np.sum(block, dtype=np.float64))
-
-
-class _RegionSum:
-    """The SUM_BLOCK sum of one channel over one consensus region, fed chunk by chunk.
+class _BlockSum:
+    """The SUM_BLOCK sum of one channel over the grid (``view`` None) or a region, fed chunk by chunk.
 
     The open block is recorded as the grid spans of the chunks that hold its
-    values, not as the values. It is gathered into one block-sized array
-    only when it closes, full or holding the region's last voxel, and then
-    summed, so the total is the region's SUM_BLOCK sum bit for bit while at
-    most one block and one chunk are held.
+    values, not as the values; contiguous whole chunks join one span. When it
+    closes, full or holding the last voxel, a block that is one such run is
+    summed as a view of the channel, any other is gathered into one array
+    first. np.sum gives a view and a contiguous copy of the same values the
+    same bits, so the total is the SUM_BLOCK sum bit for bit while at most
+    one block and one chunk are held.
     """
 
-    def __init__(self, values: np.ndarray, view: RegionView):
-        self._values, self._view, self._code = values, view, view.code.reshape(-1)
+    def __init__(self, values: np.ndarray, view: RegionView | None = None):
+        self._values, self._view = values, view
+        self._code = None if view is None else view.code.reshape(-1)
         self._totals: list[float] = []
-        # (start, stop, selected values in the block before, whether the chunk lies wholly in the region)
+        # (start, stop, selected values in the block before, whether the chunks lie wholly in the region)
         self._spans: list[tuple[int, int, int, bool]] = []
         self._n_open = 0
-        self._n_left = view.count()
+        self._n_left = values.size if view is None else view.count()
 
     def add(self, start: int, stop: int, selected: np.ndarray | bool) -> None:
         """The grid chunk [start, stop), with ``selected`` its voxels in the region: a mask,
@@ -135,25 +133,31 @@ class _RegionSum:
             gathered = self._values[start:stop] if full else self._values[start:stop][selected]
             while used < n and (self._n_open + n - used >= SUM_BLOCK or not self._n_left):
                 take = min(SUM_BLOCK - self._n_open, n - used)
-                self._close(gathered[used : used + take])
+                self._close(gathered[used : used + take], start if full else None)
                 used += take
-        if used < n:  # the rest joins the open block as a span
-            self._spans.append((start, stop, used, full))
+        if used < n:  # the rest joins the open block, extending its run when it continues one
+            last = self._spans[-1] if self._spans else None
+            if full and last and last[3] and last[1] == start:
+                self._spans[-1] = (last[0], stop, last[2], True)
+            else:
+                self._spans.append((start, stop, used, full))
             self._n_open += n - used
 
-    def _close(self, tail: np.ndarray) -> None:
-        """Gather the open block, ending with ``tail``, and sum it."""
-        block = tail
-        if self._spans:
+    def _close(self, tail: np.ndarray, tail_start: int | None) -> None:
+        """Sum the open block, ending with ``tail``: the channel from ``tail_start`` on, or gathered (None)."""
+        block, spans = tail, self._spans
+        if len(spans) == 1 and spans[0][3] and spans[0][1] == tail_start:  # one run of whole chunks
+            block = self._values[spans[0][0] + spans[0][2] : tail_start + tail.size]
+        elif spans:
             block = np.empty(self._n_open + tail.size, dtype=tail.dtype)
             pos = 0
-            for start, stop, skip, full in self._spans:
+            for start, stop, skip, full in spans:
                 values = self._values[start:stop]
                 piece = (values if full else values[self._view.selects(self._code[start:stop])])[skip:]
                 block[pos : pos + piece.size] = piece
                 pos += piece.size
             block[pos:] = tail
-        self._totals.append(_block_total(block))
+        self._totals.append(float(np.sum(block, dtype=np.float64)))
         self._spans, self._n_open = [], 0
 
     def total(self) -> float:
@@ -310,9 +314,9 @@ class _PassStatistics:
 
     tp: dict[int, int]
     fp: dict[int, int]
-    fg_sum: dict[int, _RegionSum]
-    bg_sum: dict[int, _RegionSum]
-    volume: dict[int, list[float]]  # the SUM_BLOCK totals of each class channel
+    fg_sum: dict[int, _BlockSum]
+    bg_sum: dict[int, _BlockSum]
+    volume: dict[int, _BlockSum]  # each class channel over the grid
     binning: dict[int | None, _Binning]
 
 
@@ -362,9 +366,9 @@ def _one_pass(
     stats = _PassStatistics(
         tp=dict.fromkeys(dice, 0),
         fp=dict.fromkeys(dice, 0),
-        fg_sum={c: _RegionSum(channels[c], regions[c].fg) for c in confidence},
-        bg_sum={c: _RegionSum(channels[c], regions[c].bg) for c in confidence},
-        volume={c: [] for c in volume},
+        fg_sum={c: _BlockSum(channels[c], regions[c].fg) for c in confidence},
+        bg_sum={c: _BlockSum(channels[c], regions[c].bg) for c in confidence},
+        volume={c: _BlockSum(channels[c]) for c in volume},
         # multiclass float32 confidences have a floor in each bin b >= 1, one-vs-rest ones (1 - p in float64) do not
         binning={t: _Binning.empty(bins, n_raters, _exact_bins(bins, channels.shape[1])
                                    if t is None and channels.dtype == np.float32 else None) for t in calibrate},
@@ -373,8 +377,7 @@ def _one_pass(
     need_argmax = None in stats.binning or (argmax_mode and bool(dice))
     # the regions' unanimous bit speaks for these raters only
     shared_labels = regions is not None and labels is regions.labels
-    n_voxels, volume_fed = channels.shape[1], 0
-    for start, stop in chunk_bounds(n_voxels):
+    for start, stop in chunk_bounds(channels.shape[1]):
         ch = channels[:, start:stop]
         codes = None if code is None else _one_code(code[start:stop])
         if need_argmax:
@@ -388,11 +391,8 @@ def _one_pass(
             if c in stats.fg_sum:
                 stats.fg_sum[c].add(start, stop, fg)
                 stats.bg_sum[c].add(start, stop, bg)
-        while stop - volume_fed >= SUM_BLOCK or volume_fed < stop == n_voxels:  # blocks the chunks have passed
-            block = slice(volume_fed, min(volume_fed + SUM_BLOCK, stop))
-            for c, totals in stats.volume.items():
-                totals.append(_block_total(channels[c, block]))  # a view: no copy
-            volume_fed = block.stop
+        for acc in stats.volume.values():
+            acc.add(start, stop, True)
         sel = True if include is None else include.selects(_one_code(include_code[start:stop]))
         if not stats.binning or sel is False:
             continue
@@ -465,7 +465,7 @@ class ConfidenceScores:
     mean: float | None
 
 
-def _mean(acc: _RegionSum, n: int) -> float | None:
+def _mean(acc: _BlockSum, n: int) -> float | None:
     return None if n == 0 else acc.total() / n
 
 
@@ -539,7 +539,7 @@ def cece_multirater(
 
 def predicted_volume(pred: ProbabilityVolume, class_id: int) -> float:
     """Probability-summed volume in cm^3; no thresholding."""
-    return pred.geometry.voxel_volume_cm3 * math.fsum(_one_pass(pred, volume=(class_id,)).volume[class_id])
+    return pred.geometry.voxel_volume_cm3 * _one_pass(pred, volume=(class_id,)).volume[class_id].total()
 
 
 @dataclass(frozen=True)
@@ -708,7 +708,7 @@ def _evaluate_case(pred, raters, config, case_id, algorithm, regions) -> CaseMet
         empty_bg[c] = regions[c].bg.count() == 0
         mu, sigma, _ = _volume_distribution(regions.rater_counts[c], vv, config.sigma_convention)
         sigma_zero[c] = sigma == 0.0
-        predicted = pred.geometry.voxel_volume_cm3 * math.fsum(stats.volume[c])
+        predicted = pred.geometry.voxel_volume_cm3 * stats.volume[c].total()
         crps[c] = crps_gaussian(VolumeDistribution(mu, sigma, predicted))
 
     values = {t: [b.value for b in stats.binning[t].results(config.eq2_literal)] for t in targets}

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 from .grid import (
     N_CHANNELS,
     ORGAN_CLASSES,
@@ -130,8 +130,12 @@ def _distance_sq(geometry: GridGeometry, center) -> np.ndarray:
 
 
 def _rater_labels(spec: PhantomSpec) -> list[np.ndarray]:
+    dims = spec.geometry.dims
+    try:  # numpy refuses a grid too large to hold before it allocates any of it
+        out = [np.zeros(dims, dtype=np.uint8) for _ in spec.rater_deltas]
+    except (MemoryError, ValueError) as exc:
+        raise ResourceError(f"cannot hold a {dims[0]}x{dims[1]}x{dims[2]} grid: {exc}") from exc
     # Spheres never overlap, so filling them one at a time holds one distance grid.
-    out = [np.zeros(spec.geometry.dims, dtype=np.uint8) for _ in spec.rater_deltas]
     for c, s in spec.spheres.items():
         dist_sq = _distance_sq(spec.geometry, s.center)
         for labels, delta in zip(out, spec.rater_deltas):
@@ -313,7 +317,6 @@ def write_dataset(doc: dict, out_dir) -> Path:
         _case_spec(spec, i)
     out = Path(out_dir)
     volumes = out / "volumes"
-    volumes.mkdir(parents=True, exist_ok=True)
 
     manifest_cases = []
     truth_records = {}
@@ -321,6 +324,7 @@ def write_dataset(doc: dict, out_dir) -> Path:
         case_spec = _case_spec(spec, i)
         case_id = f"case_{i + 1:03d}"
         labels = _rater_labels(case_spec)
+        volumes.mkdir(parents=True, exist_ok=True)  # only once a grid is held: one too large writes nothing
         unanimous = _unanimous_labels(labels)
         truth = _scan_truth(case_spec, labels)
 

@@ -82,10 +82,6 @@ class RankingRow:
 class RankingTable:
     rows: tuple[RankingRow, ...]  # sorted by final_rank
 
-    @property
-    def final_order(self) -> tuple[str, ...]:
-        return tuple(r.algorithm for r in self.rows)
-
 
 def composite_ranking(
     metric_values: dict[str, dict[str, float]],

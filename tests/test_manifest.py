@@ -35,7 +35,7 @@ def test_minimal_manifest_loads(tmp_path):
     m = load_manifest(write_manifest(tmp_path, cases))
     assert m.rater_count == 3
     assert m.algorithms == ("alg_a", "alg_b")
-    assert m.case_ids == ("c1",)
+    assert tuple(c.case_id for c in m.cases) == ("c1",)
 
 
 def test_unknown_group_rejected(tmp_path):
@@ -91,8 +91,8 @@ def test_group_filter(tmp_path):
     c2 = write_case_files(tmp_path, "c2")
     c2["group"] = "C"
     m = load_manifest(write_manifest(tmp_path, [c1, c2]))
-    assert m.filtered("C").case_ids == ("c2",)
-    assert m.filtered(None).case_ids == ("c1", "c2")
+    assert tuple(c.case_id for c in m.filtered("C").cases) == ("c2",)
+    assert tuple(c.case_id for c in m.filtered(None).cases) == ("c1", "c2")
     with pytest.raises(ValidationError, match="no cases in group"):
         m.filtered("B")
 

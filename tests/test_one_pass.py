@@ -238,6 +238,58 @@ def test_predicted_volume_carries_its_open_block_across_chunks(seed, n, chunk, b
         assert predicted_volume(pred, 2) == compensated_sum_reference(channels[2], block)
 
 
+#: Two raters' class-1 labels per kind of 8-voxel chunk: F the class-1 foreground consensus,
+#: B its background, M mixed (4 foreground, 2 background and 2 dissensus voxels).
+EDGE_CHUNKS = {"F": ([1] * 8, [1] * 8), "B": ([0] * 8, [0] * 8), "M": ([1] * 4 + [0] * 4, [1] * 4 + [0] * 2 + [1] * 2)}
+
+
+@pytest.mark.parametrize(
+    "layout, block, sums, volume_sums",
+    [
+        # a run of whole chunks from the start, then one broken by a mixed chunk with whole chunks after
+        # it; 20 is not a multiple of the chunk; the background (2 mixed voxels, then whole chunks) is gathered
+        ("FFFMFFBB", 20, [(0, 20), (None, 20), (44, 4), (None, 18)], [(0, 20), (20, 20), (40, 20), (60, 4)]),
+        # a run that ends at the foreground's last voxel, before the grid ends
+        ("BFFFBB", 32, [(8, 24), (None, 24)], [(0, 32), (32, 16)]),
+        # whole chunks with a gap between them are no run
+        ("FBFB", 16, [(None, 16), (None, 16)], [(0, 16), (16, 16)]),
+        # runs that start inside a chunk, after a block closed there
+        ("FFFFFF", 12, [(0, 12), (12, 12), (24, 12), (36, 12)], [(0, 12), (12, 12), (24, 12), (36, 12)]),
+    ],
+)
+def test_block_sums_are_views_of_whole_chunk_runs(monkeypatch, layout, block, sums, volume_sums):
+    rng = np.random.default_rng(len(layout) * block)
+    n = 8 * len(layout)
+    geometry = GridGeometry((n, 1, 1), (10.0, 10.0, 10.0))
+    channels = np.zeros((4, n, 1, 1), dtype=np.float32)
+    channels[1].reshape(-1)[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 6, size=n)
+    pred = ProbabilityVolume(geometry, channels)
+    labels = [np.concatenate([EDGE_CHUNKS[k][r] for k in layout]).astype(np.uint8).reshape(n, 1, 1) for r in range(2)]
+    regions = derive_regions([LabelVolume(geometry, l) for l in labels], classes=(1,))
+    fg, bg, _ = consensus_by_voxel_loop(labels, 1)
+    values = pred.channels[1]
+    expected_fg, expected_bg = (
+        compensated_sum_reference(values[m], block) / int(m.sum()) if m.any() else None for m in (fg, bg)
+    )
+
+    summed, np_sum = [], np.sum
+
+    def spy(a, *args, **kwargs):  # each block as (its offset in channel 1 if a view of it, else None, its size)
+        offset = (a.ctypes.data - values.ctypes.data) // a.itemsize if np.shares_memory(a, values) else None
+        summed.append((offset, a.size))
+        return np_sum(a, *args, **kwargs)
+
+    with chunked(8, n, block):
+        monkeypatch.setattr(np, "sum", spy)
+        scores = confidence_scores(pred, regions)
+        block_sums, summed[:] = summed[:], []
+        volume = predicted_volume(pred, 1)
+        monkeypatch.undo()
+    assert (scores.c_fg[1], scores.c_bg[1]) == (expected_fg, expected_bg)
+    assert volume == geometry.voxel_volume_cm3 * compensated_sum_reference(values, block)
+    assert (block_sums, summed) == (sums, volume_sums)
+
+
 # --- homogeneous chunks ------------------------------------------------------
 
 #: 8 chunks of 16 voxels on a 4x4x8 grid, one kind of chunk each (see homogeneous_case).

@@ -216,7 +216,7 @@ def test_write_dataset_is_loadable_and_deterministic(tmp_path):
     m1 = write_dataset(DATASET_SPEC, out1)
     write_dataset(DATASET_SPEC, out2)
     manifest = load_manifest(m1)
-    assert manifest.case_ids == ("case_001", "case_002", "case_003")
+    assert tuple(c.case_id for c in manifest.cases) == ("case_001", "case_002", "case_003")
     assert [c.group for c in manifest.cases] == ["A", "B", "A"]
     assert manifest.algorithms == ("alpha", "beta")
     # byte-identical regeneration, file by file

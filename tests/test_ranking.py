@@ -65,7 +65,7 @@ def test_seven_team_per_metric_ranks():
 
 def test_seven_team_composite_table():
     table = composite_ranking(SEVEN_TEAM_VALUES)
-    assert table.final_order == EXPECTED_ORDER
+    assert tuple(r.algorithm for r in table.rows) == EXPECTED_ORDER
     for row in table.rows:
         assert row.composite == EXPECTED_COMPOSITES[row.algorithm]
         for metric, expected in EXPECTED_PER_METRIC_RANKS.items():
@@ -92,7 +92,7 @@ def test_full_tie_composites():
     for row in table.rows:
         assert row.composite == 3.0  # (K + 1) / 2 with K = 5
     # deterministic final order by name when everything ties
-    assert table.final_order == ("a", "b", "c", "d", "e")
+    assert tuple(r.algorithm for r in table.rows) == ("a", "b", "c", "d", "e")
 
 
 def test_dominance_gives_integer_composites():
@@ -104,7 +104,7 @@ def test_dominance_gives_integer_composites():
     }
     table = composite_ranking(values)
     assert [r.composite for r in table.rows] == [1.0, 2.0]
-    assert table.final_order == ("win", "lose")
+    assert tuple(r.algorithm for r in table.rows) == ("win", "lose")
 
 
 def test_composite_tie_break_prefers_lower_ece_then_crps():
@@ -117,7 +117,7 @@ def test_composite_tie_break_prefers_lower_ece_then_crps():
     }
     table = composite_ranking(values)
     assert table.rows[0].composite == table.rows[1].composite == 1.5
-    assert table.final_order == ("b", "a")  # lower calibration error wins the tie
+    assert tuple(r.algorithm for r in table.rows) == ("b", "a")  # lower calibration error wins the tie
 
 
 @settings(max_examples=60, deadline=None)
