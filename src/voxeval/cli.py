@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
 3 metric computation error, or any other unexpected exception while a
 case was read or evaluated (naming the case, the algorithm and the path)
 or in ranking, the bootstrap or the report (naming the stage), 4 out of
-memory (while a case was read or evaluated, or in ranking, the bootstrap
-or the report), a phantom grid too large to hold, or a case worker
-process died. Input files are never modified.
+memory (while a case was read or evaluated, in ranking, the bootstrap
+or the report, or while a phantom dataset was generated), or a case
+worker process died. Input files are never modified.
 """
 
 import argparse

@@ -46,5 +46,5 @@ class ParameterError(MetricError):
 
 
 class ResourceError(VoxevalError):
-    """Reading or evaluating a case ran out of memory, or its worker process died, or a
-    phantom grid is too large to hold."""
+    """Reading or evaluating a case ran out of memory, or its worker process died, or
+    generating a phantom dataset ran out of memory."""

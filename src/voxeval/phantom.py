@@ -131,10 +131,10 @@ def _distance_sq(geometry: GridGeometry, center) -> np.ndarray:
 
 def _rater_labels(spec: PhantomSpec) -> list[np.ndarray]:
     dims = spec.geometry.dims
-    try:  # numpy refuses a grid too large to hold before it allocates any of it
+    try:
         out = [np.zeros(dims, dtype=np.uint8) for _ in spec.rater_deltas]
-    except (MemoryError, ValueError) as exc:
-        raise ResourceError(f"cannot hold a {dims[0]}x{dims[1]}x{dims[2]} grid: {exc}") from exc
+    except ValueError as exc:  # numpy's "array is too big": a byte count past what it can address
+        raise MemoryError(str(exc)) from exc
     # Spheres never overlap, so filling them one at a time holds one distance grid.
     for c, s in spec.spheres.items():
         dist_sq = _distance_sq(spec.geometry, s.center)
@@ -320,39 +320,43 @@ def write_dataset(doc: dict, out_dir) -> Path:
 
     manifest_cases = []
     truth_records = {}
-    for i in range(spec["cases"]):
-        case_spec = _case_spec(spec, i)
-        case_id = f"case_{i + 1:03d}"
-        labels = _rater_labels(case_spec)
-        volumes.mkdir(parents=True, exist_ok=True)  # only once a grid is held: one too large writes nothing
-        unanimous = _unanimous_labels(labels)
-        truth = _scan_truth(case_spec, labels)
+    dims = spec["geometry"].dims
+    try:
+        for i in range(spec["cases"]):
+            case_spec = _case_spec(spec, i)
+            case_id = f"case_{i + 1:03d}"
+            labels = _rater_labels(case_spec)
+            volumes.mkdir(parents=True, exist_ok=True)  # only once the label grids are held
+            unanimous = _unanimous_labels(labels)
+            truth = _scan_truth(case_spec, labels)
 
-        rater_paths = []
-        for r, arr in enumerate(labels, start=1):
-            p = volumes / f"{case_id}_rater_{r}.nii.gz"
-            write_nifti(LabelVolume(case_spec.geometry, arr), p)
-            rater_paths.append(str(p.relative_to(out)))
-        pred_paths = {}
-        for name, model in sorted(spec["algorithms"].items()):
-            p = volumes / f"{case_id}_pred_{name}.nii.gz"
-            write_nifti(ProbabilityVolume(case_spec.geometry, _prediction(unanimous, model)), p)
-            pred_paths[name] = str(p.relative_to(out))
+            rater_paths = []
+            for r, arr in enumerate(labels, start=1):
+                p = volumes / f"{case_id}_rater_{r}.nii.gz"
+                write_nifti(LabelVolume(case_spec.geometry, arr), p)
+                rater_paths.append(str(p.relative_to(out)))
+            pred_paths = {}
+            for name, model in sorted(spec["algorithms"].items()):
+                p = volumes / f"{case_id}_pred_{name}.nii.gz"
+                write_nifti(ProbabilityVolume(case_spec.geometry, _prediction(unanimous, model)), p)
+                pred_paths[name] = str(p.relative_to(out))
 
-        manifest_cases.append(
-            {
-                "case_id": case_id,
-                "group": spec["groups"][i % len(spec["groups"])],
-                "rater_annotations": rater_paths,
-                "algorithm_predictions": pred_paths,
+            manifest_cases.append(
+                {
+                    "case_id": case_id,
+                    "group": spec["groups"][i % len(spec["groups"])],
+                    "rater_annotations": rater_paths,
+                    "algorithm_predictions": pred_paths,
+                }
+            )
+            truth_records[case_id] = {
+                "rater_volumes_cm3": {str(c): list(v) for c, v in truth.rater_volumes_cm3.items()},
+                "mu_cm3": {str(c): v for c, v in truth.mu_cm3.items()},
+                "sigma_cm3": {str(c): v for c, v in truth.sigma_cm3.items()},
+                "region_counts": {str(c): v for c, v in truth.region_counts.items()},
             }
-        )
-        truth_records[case_id] = {
-            "rater_volumes_cm3": {str(c): list(v) for c, v in truth.rater_volumes_cm3.items()},
-            "mu_cm3": {str(c): v for c, v in truth.mu_cm3.items()},
-            "sigma_cm3": {str(c): v for c, v in truth.sigma_cm3.items()},
-            "region_counts": {str(c): v for c, v in truth.region_counts.items()},
-        }
+    except MemoryError as exc:  # numpy refuses the grid, or a later allocation fails partway
+        raise ResourceError(f"cannot hold a {dims[0]}x{dims[1]}x{dims[2]} grid: {str(exc) or 'out of memory'}") from exc
 
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps({"cases": manifest_cases}, indent=2, sort_keys=True) + "\n")

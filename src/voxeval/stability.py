@@ -84,8 +84,6 @@ _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 
 def _resample_indices(n_cases: int, iterations: int, seed: int) -> np.ndarray:
     """-> (iterations, n_cases) case indices; row i from SeedSequence((seed, i))."""
-    if n_cases == 1:  # integers(0, 1) is always 0 and never rejected: no stream to seed or step
-        return np.zeros((iterations, 1), np.int64)
     return _draw_integers(n_cases, n_cases, iterations, seed)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import voxeval
+from voxeval import phantom
 from voxeval.cli import RunConfig, main
 
 PHANTOM_SPEC = {
@@ -61,16 +62,13 @@ COLD_START_PROBE = (
 )
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this package first on PYTHONPATH, its output captured as text."""
-    src = str(Path(voxeval.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
-
 def lazy_modules_at_exit(code: str, *args: str) -> tuple[int, list[str]]:
     """Run ``code`` after COLD_START_PROBE in a fresh interpreter -> (exit code, scipy and numpy.random modules)."""
-    proc = run_python("-c", COLD_START_PROBE + code, *args)
+    src = str(Path(voxeval.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE + code, *args], env=env, capture_output=True, text=True
+    )
     report = [line for line in proc.stdout.splitlines() if line.startswith("lazy modules:")]
     assert len(report) == 1, proc.stdout + proc.stderr
     return proc.returncode, json.loads(report[0].split(":", 1)[1])
@@ -467,15 +465,24 @@ def test_phantom_bad_spec_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("side", [100_000, 3_000_000_000])  # 909 TiB of labels; past numpy's largest array
-def test_phantom_grid_too_large_to_hold_is_exit_4_naming_spec_and_dims(tmp_path, side):
+def test_phantom_grid_too_large_to_hold_is_exit_4_naming_spec_and_dims(tmp_path, capsys, side):
     # numpy refuses both sizes before it allocates anything
     spec = write_spec(tmp_path, dict(PHANTOM_SPEC, geometry={"dims": [side] * 3, "spacing_mm": [1, 1, 1]}))
-    proc = run_python("-m", "voxeval.cli", "phantom", str(spec), "--out", str(tmp_path / "d"))
-    lines = proc.stderr.splitlines()
-    assert proc.returncode == 4 and len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert str(spec) in proc.stderr and f"{side}x{side}x{side}" in proc.stderr
+    assert main(["phantom", str(spec), "--out", str(tmp_path / "d")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: phantom spec {spec}: cannot hold a {side}x{side}x{side} grid")
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("stage", ["_distance_sq", "_prediction"])  # before and after the rater files are written
+def test_phantom_out_of_memory_partway_is_exit_4_naming_spec_and_dims(tmp_path, capsys, monkeypatch, stage):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(phantom, stage, out_of_memory)
+    spec = write_spec(tmp_path)
+    assert main(["phantom", str(spec), "--out", str(tmp_path / "d")]) == 4
+    assert capsys.readouterr().err == f"error: phantom spec {spec}: cannot hold a 28x28x28 grid: out of memory\n"
 
 
 def test_phantom_determinism(tmp_path):

@@ -100,17 +100,6 @@ def test_resample_indices_match_numpy_generator(n_cases, seed):
         np.testing.assert_array_equal(idx, expected[:iterations])
 
 
-def test_one_case_resample_seeds_no_stream(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("a stream was seeded")
-
-    monkeypatch.setattr(stability, "_seed_pool", no_stream)
-    monkeypatch.setattr(np.random, "SeedSequence", no_stream)
-    idx = stability._resample_indices(1, 300, 7)
-    assert idx.dtype == np.int64
-    np.testing.assert_array_equal(idx, np.zeros((300, 1)))
-
-
 @pytest.mark.parametrize("seed", [0, 2**32, 2**96 + 7, 2**128 + 3])
 def test_pcg64_seeds_match_numpy_seeding(seed):
     rows = np.array([0, 1, 2, 255, 256, 4999, 2**31, 2**32 - 1], dtype=np.uint32)
