@@ -10,13 +10,8 @@ Subcommands:
                    volumes involved);
 * ``validate``   - manifest and volume checks only.
 
-Exit codes: 0 success, 1 validation error, 2 volume/file I/O error,
-3 metric computation error, or any other unexpected exception while a
-case was read or evaluated (naming the case, the algorithm and the path)
-or in ranking, the bootstrap or the report (naming the stage), 4 out of
-memory (while a case was read or evaluated, in ranking, the bootstrap
-or the report, or while a phantom dataset was generated), or a case
-worker process died. Input files are never modified.
+Exit code 0 is success; each error family in :mod:`voxeval.errors` carries
+its own code, and any other file error is 2. Input files are never modified.
 """
 
 import argparse
@@ -51,10 +46,6 @@ from .report import aggregate, correlations, emit, manifest_sha256, write_rankin
 from .stability import MAX_ITERATIONS, bootstrap_ranks, bubble_export
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_IO = 2
-EXIT_METRIC = 3
-EXIT_RESOURCE = 4
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -282,7 +273,7 @@ def run_phantom(spec_path, out_dir) -> int:
 
 def run_rank_table(csv_path, out_dir) -> int:
     try:
-        with open(csv_path, newline="", encoding="utf-8") as f:
+        with open(csv_path, newline="", encoding="utf-8-sig") as f:  # with or without a byte-order mark
             reader = csv.DictReader(f)
             rows = list(reader)
             columns = reader.fieldnames or []
@@ -402,18 +393,9 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return run_validate(args.manifest)
         raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
+    except (ValidationError, VolumeIOError, MetricError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (VolumeIOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METRIC
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return getattr(exc, "exit_code", VolumeIOError.exit_code)  # an OSError is a file error
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ValidationError -> 1, volume I/O
-failures -> 2, metric computation failures -> 3, ResourceError -> 4.
+Each of the four error families carries the CLI's exit code for it as
+``exit_code``, and its subclasses inherit it: ValidationError 1,
+VolumeIOError 2, MetricError 3, ResourceError 4.
 """
 
 
@@ -12,9 +13,13 @@ class VoxevalError(Exception):
 class ValidationError(VoxevalError):
     """Invalid manifest, configuration, or phantom specification."""
 
+    exit_code = 1
+
 
 class VolumeIOError(VoxevalError):
     """A volume file could not be read or written."""
+
+    exit_code = 2
 
 
 class FormatError(VolumeIOError):
@@ -34,7 +39,10 @@ class ChannelSumError(VolumeIOError):
 
 
 class MetricError(VoxevalError):
-    """A metric computation failed."""
+    """A metric computation failed, or some other unexpected exception while a case was
+    read or evaluated, or in ranking, the bootstrap or the report."""
+
+    exit_code = 3
 
 
 class GeometryMismatchError(MetricError):
@@ -47,4 +55,6 @@ class ParameterError(MetricError):
 
 class ResourceError(VoxevalError):
     """Reading or evaluating a case ran out of memory, or its worker process died, or
-    generating a phantom dataset ran out of memory."""
+    ranking, the bootstrap, the report or generating a phantom dataset ran out of memory."""
+
+    exit_code = 4

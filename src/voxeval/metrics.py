@@ -63,6 +63,10 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: totals exactly, so 1e8-voxel volumes do not drift and every chunk size gives the same bits.
 SUM_BLOCK = 1 << 20
 
+#: The most calibration bins: a chunk's bin tables then never outgrow the
+#: ``grid.CHUNK_VOXELS`` voxels they count.
+_MAX_BINS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -85,6 +89,8 @@ class EvalConfig:
             raise ParameterError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.ece_bins < 2:
             raise ParameterError(f"ece_bins must be >= 2, got {self.ece_bins}")
+        if self.ece_bins > _MAX_BINS:
+            raise ParameterError(f"ece_bins must be <= {_MAX_BINS}, got {self.ece_bins}")
         _require_sigma_convention(self.sigma_convention)
         if not self.classes or any(c not in ORGAN_CLASSES for c in self.classes):
             raise ParameterError(f"classes must be a non-empty subset of {ORGAN_CLASSES}")
@@ -294,15 +300,13 @@ def _exact_bins(bins: int, n_voxels: int) -> list[bool]:
     """Per bin: whether float32 confidences in it, at most ``n_voxels`` of them and
     none above 1, add exactly in float64 in any order.
 
-    v * bins is exact in float64 for a float32 v (bins < 2**29), so every value
+    v * bins is exact in float64 for a float32 v (bins <= _MAX_BINS < 2**29), so every value
     in bin b >= 1 is at least b / bins, at least 2**e for e = floor(log2(b /
     bins)), and so a multiple of 2**(e - 23). Every partial sum is then a
     multiple of it of at most ``n_voxels``, which float64 holds exactly while
     ``n_voxels <= 2**(e + 30)``: in every bin from the first b >= bins * 2**k
     on, k the smallest such e. Bin 0 has no floor.
     """
-    if bins >= 1 << 29:
-        return [False] * bins
     k = (n_voxels - 1).bit_length() - 30
     first = min(bins, max(1, bins << k if k >= 0 else -(-bins >> -k)))  # ceil(bins * 2**k)
     return [False] * first + [True] * (bins - first)
@@ -490,6 +494,8 @@ def _calibrate(pred, raters, class_id, bins, literal, include) -> list[Calibrati
     a class id one-vs-rest; see _one_pass), from a single binning."""
     if bins < 2:
         raise ParameterError(f"bin count must be >= 2, got {bins}")
+    if bins > _MAX_BINS:
+        raise ParameterError(f"bin count must be <= {_MAX_BINS}, got {bins}")
     for r in raters:
         require_same_grid(pred.geometry, r.geometry, "prediction vs rater")
     if include is not None:  # a boolean mask, as the code of a one-bit region view

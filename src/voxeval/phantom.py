@@ -27,7 +27,7 @@ float32 output (see ``_prediction``).
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -349,12 +349,7 @@ def write_dataset(doc: dict, out_dir) -> Path:
                     "algorithm_predictions": pred_paths,
                 }
             )
-            truth_records[case_id] = {
-                "rater_volumes_cm3": {str(c): list(v) for c, v in truth.rater_volumes_cm3.items()},
-                "mu_cm3": {str(c): v for c, v in truth.mu_cm3.items()},
-                "sigma_cm3": {str(c): v for c, v in truth.sigma_cm3.items()},
-                "region_counts": {str(c): v for c, v in truth.region_counts.items()},
-            }
+            truth_records[case_id] = asdict(truth)  # json writes the int class keys as strings
     except MemoryError as exc:  # numpy refuses the grid, or a later allocation fails partway
         raise ResourceError(f"cannot hold a {dims[0]}x{dims[1]}x{dims[2]} grid: {str(exc) or 'out of memory'}") from exc
 

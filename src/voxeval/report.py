@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -241,18 +241,9 @@ def bootstrap_records(summary: BootstrapSummary) -> list[dict]:
     for metric in summary.metrics:
         for a in summary.algorithms:
             s = summary.stats[metric][a]
-            records.append(
-                {
-                    "metric": metric,
-                    "algorithm": a,
-                    "mean_rank": s.mean_rank,
-                    "std_rank": s.std_rank,
-                    "median_rank": s.median_rank,
-                    "ci_low": s.ci_low,
-                    "ci_high": s.ci_high,
-                    "rank_frequency": {repr(k): v for k, v in sorted(s.rank_frequency.items())},
-                }
-            )
+            # repr keys, which json sorts as text ("10.0" before "2.0"), not as numbers as it would floats
+            frequency = {repr(k): v for k, v in sorted(s.rank_frequency.items())}
+            records.append({"metric": metric, "algorithm": a, **asdict(s), "rank_frequency": frequency})
     return records
 
 
@@ -312,19 +303,7 @@ def emit(
         row += [g.flag_counts[f] for f in FLAG_NAMES]
         group_rows.append(row)
     csv_path("groups.csv", group_header, group_rows)
-    json_path(
-        "groups.json",
-        [
-            {
-                "group": g.group,
-                "algorithm": g.algorithm,
-                "n_cases": g.n_cases,
-                "means": g.means,
-                "flag_counts": g.flag_counts,
-            }
-            for g in groups.rows
-        ],
-    )
+    json_path("groups.json", [asdict(g) for g in groups.rows])
 
     boot_records = bootstrap_records(bootstrap)
     boot_cols = ["metric", "algorithm", "mean_rank", "std_rank", "median_rank", "ci_low", "ci_high"]
@@ -342,16 +321,7 @@ def emit(
     bubble_cols = ["metric", "algorithm", "x_order", "rank", "frequency_pct", "median_rank", "ci_low", "ci_high"]
     csv_path("bubbles.csv", bubble_cols, [[b[c] for c in bubble_cols] for b in bubbles])
 
-    json_path(
-        "correlations.json",
-        {
-            "metrics": list(correlation.metrics),
-            "pearson": correlation.pearson,
-            "spearman": correlation.spearman,
-            "n_points": correlation.n_points,
-            "pooling": correlation.pooling,
-        },
-    )
+    json_path("correlations.json", asdict(correlation))
 
     json_path("run_meta.json", {"schema_version": SCHEMA_VERSION, **run_meta})
     return written

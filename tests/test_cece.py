@@ -210,8 +210,9 @@ def test_binary_mode_per_class(rng):
 def test_bin_count_validation(rng):
     pred = random_probability_volume(rng, (2, 2, 2))
     labels = label_volume(random_label_array(rng, (2, 2, 2)))
-    with pytest.raises(ParameterError):
-        cece(pred, labels, 1)
+    for bins in (1, 65537):
+        with pytest.raises(ParameterError):
+            cece(pred, labels, bins)
 
 
 def test_sharpening_accurate_predictions_drives_cece_to_zero(rng):

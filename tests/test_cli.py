@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import voxeval
-from voxeval import phantom
+from voxeval import cli, errors, phantom
 from voxeval.cli import RunConfig, main
 
 PHANTOM_SPEC = {
@@ -289,6 +290,7 @@ def test_evaluate_validation_errors(tmp_path, phantom_dir, capsys):
     for flags, message in [
         (["--threshold", "1.5"], "threshold must be in (0, 1), got 1.5"),
         (["--ece-bins", "1"], "ece_bins must be >= 2, got 1"),
+        (["--ece-bins", "65537"], "ece_bins must be <= 65536, got 65537"),
         (["--iterations", "0"], "iterations must be >= 1, got 0"),
         (["--iterations", "4294967297"], "iterations must be <= 4294967296, got 4294967297"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
@@ -370,6 +372,16 @@ def test_rank_table_reproduces_seven_team_sample(tmp_path, capsys):
     assert printed.splitlines()[1].split()[1] == "MedIG"
 
 
+def test_rank_table_reads_utf8_with_or_without_a_byte_order_mark(tmp_path):
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):  # as spreadsheet "CSV UTF-8" exports write it
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(prefix + SEVEN_TEAM_CSV.encode("utf-8"))
+        assert main(["rank-table", str(src), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "ranking.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_rank_table_single_and_tied_rows(tmp_path):
     src = tmp_path / "one.csv"
     src.write_text("algorithm,dsc,confidence,ece,crps\nsolo,90,95,2,10\n")
@@ -395,6 +407,24 @@ def test_rank_table_missing_column_is_exit_1(tmp_path, capsys):
     src.write_text("algorithm,dsc,confidence,ece\nx,1,2,3\n")
     assert main(["rank-table", str(src), "--out", str(tmp_path / "o")]) == 1
     assert "crps" in capsys.readouterr().err
+
+
+_FAMILY_EXIT_CODES = {errors.ValidationError: 1, errors.VolumeIOError: 2, errors.MetricError: 3, errors.ResourceError: 4, OSError: 2}
+_ERROR_CLASSES = [
+    c for _, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, errors.VoxevalError) and c is not errors.VoxevalError
+]
+
+
+@pytest.mark.parametrize("error", [*_ERROR_CLASSES, OSError], ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_family_code(monkeypatch, capsys, error):
+    (code,) = {code for family, code in _FAMILY_EXIT_CODES.items() if issubclass(error, family)}
+
+    def fail(manifest_path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_validate", fail)
+    assert main(["validate", "manifest.json"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_validate_ok_and_failure(phantom_dir, tmp_path, capsys):
@@ -581,8 +611,6 @@ def test_a_case_error_ends_alike_in_forked_workers(phantom_dir, tmp_path, capsys
 
 
 def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tmp_path, monkeypatch, capsys):
-    from voxeval import cli
-    
     real_case_metrics = cli._case_metrics
 
     def dying_case_metrics(entry, config):
@@ -600,8 +628,6 @@ def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tm
 
 
 def test_under_skip_bad_cases_only_the_case_whose_worker_dies_alone_is_skipped(phantom_dir, tmp_path, monkeypatch):
-    from voxeval import cli
-    
     real_case_metrics = cli._case_metrics
     started = tmp_path / "started"  # a file, not a list: forked case workers do not share the parent's memory
     started.touch()
@@ -675,8 +701,6 @@ def test_regions_are_derived_once_per_case(tmp_path, monkeypatch, parallel_cases
 
 @pytest.mark.parametrize("stage", ["rater read", "prediction read", "evaluation"])
 def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, monkeypatch, capsys, stage):
-    from voxeval import cli
-    
     victim = {
         "rater read": "case_002_rater_2.nii.gz",
         "prediction read": "case_002_pred_mid.nii.gz",
@@ -712,8 +736,6 @@ def test_out_of_memory_is_exit_4_naming_case_and_file(phantom_dir, tmp_path, mon
 def test_an_unexpected_exception_in_a_case_is_exit_3_naming_case_algorithm_and_file(
     phantom_dir, tmp_path, monkeypatch, capsys, parallel_cases
 ):
-    from voxeval import cli
-
     real_evaluate = cli.evaluate_case
 
     def evaluate_case(pred, raters, config, case_id, algorithm, regions):
@@ -740,8 +762,6 @@ def test_an_unexpected_exception_in_a_case_is_exit_3_naming_case_algorithm_and_f
     "target, stage", [("rank_cases", "ranking"), ("bootstrap_ranks", "the bootstrap"), ("emit", "the report")]
 )
 def test_out_of_memory_after_the_cases_is_exit_4_naming_the_stage(phantom_dir, tmp_path, monkeypatch, capsys, target, stage):
-    from voxeval import cli
-
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
@@ -759,8 +779,6 @@ def test_out_of_memory_after_the_cases_is_exit_4_naming_the_stage(phantom_dir, t
 def test_an_unexpected_exception_after_the_cases_is_exit_3_naming_the_stage(
     phantom_dir, tmp_path, monkeypatch, capsys, target, stage
 ):
-    from voxeval import cli
-
     def fault(*args, **kwargs):
         raise RuntimeError("a fault of the program")
 

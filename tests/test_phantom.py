@@ -12,7 +12,7 @@ from voxeval.consensus import derive_regions
 from voxeval.errors import ValidationError
 from voxeval.grid import GridGeometry, LabelVolume, validate_probability_sums
 from voxeval.manifest import load_manifest
-from voxeval.metrics import EvalConfig, cece_multirater, evaluate_case
+from voxeval.metrics import EvalConfig, cece_multirater, evaluate_case, rater_volume_distribution
 from voxeval.phantom import (
     PhantomSpec,
     PredictionModel,
@@ -236,7 +236,12 @@ def test_dataset_truth_file_matches_volumes(tmp_path):
     for entry in manifest.cases:
         raters = [read_volume(p) for p in entry.rater_annotations]
         counts = region_counts(derive_regions(raters))
-        assert truth[entry.case_id]["region_counts"] == {str(c): v for c, v in counts.items()}
+        record = truth[entry.case_id]
+        assert record["region_counts"] == {str(c): v for c, v in counts.items()}
+        volumes = {str(c): rater_volume_distribution(raters, c) for c in counts}
+        assert record["rater_volumes_cm3"] == {c: list(v) for c, (_, _, v) in volumes.items()}
+        assert record["mu_cm3"] == {c: mu for c, (mu, _, _) in volumes.items()}
+        assert record["sigma_cm3"] == {c: sigma for c, (_, sigma, _) in volumes.items()}
 
 
 def test_parse_spec_document_validation():
