@@ -122,25 +122,39 @@ class Phantom:
     truth: PhantomTruth = field(repr=False)
 
 
-def _distance_sq(geometry: GridGeometry, center) -> np.ndarray:
-    x, y, z = np.ogrid[: geometry.dims[0], : geometry.dims[1], : geometry.dims[2]]
+def _distance_sq(box: tuple[slice, slice, slice], center) -> np.ndarray:
+    """Float64 squared distances from ``center`` to the voxel centres of ``box``, in grid coordinates."""
+    x, y, z = np.ogrid[box]
     return (
         (x - center[0]) ** 2.0 + (y - center[1]) ** 2.0 + (z - center[2]) ** 2.0
     )
 
 
 def _rater_labels(spec: PhantomSpec) -> list[np.ndarray]:
+    """Each rater's label map: class c wherever ``|voxel - centre| <= radius + delta``.
+
+    A sphere is labelled inside its own box, centre +- (radius + max delta)
+    rounded outward: a voxel outside it lies more than that radius from the
+    centre on one axis. ``PhantomSpec`` has checked that the box lies inside
+    the grid, and a voxel's squared distance is the same float64 sum as over
+    the whole grid.
+    """
     dims = spec.geometry.dims
     try:
         out = [np.zeros(dims, dtype=np.uint8) for _ in spec.rater_deltas]
     except ValueError as exc:  # numpy's "array is too big": a byte count past what it can address
         raise MemoryError(str(exc)) from exc
-    # Spheres never overlap, so filling them one at a time holds one distance grid.
+    dmax = max(spec.rater_deltas)
+    # Spheres never overlap, so filling them one at a time holds one box of distances.
     for c, s in spec.spheres.items():
-        dist_sq = _distance_sq(spec.geometry, s.center)
+        box = tuple(
+            slice(math.floor(s.center[a] - (s.radius + dmax)), math.ceil(s.center[a] + (s.radius + dmax)) + 1)
+            for a in range(3)
+        )
+        dist_sq = _distance_sq(box, s.center)
         for labels, delta in zip(out, spec.rater_deltas):
-            labels[dist_sq <= (s.radius + delta) ** 2] = c
-        del dist_sq  # before the next sphere's grid is built
+            labels[box][dist_sq <= (s.radius + delta) ** 2] = c
+        del dist_sq  # before the next sphere's box is built
     return out
 
 
@@ -153,7 +167,18 @@ def _unanimous_labels(labels: list[np.ndarray]) -> np.ndarray:
 
 
 def _prediction(unanimous: np.ndarray, model: PredictionModel) -> np.ndarray:
-    """The model's float32 ``[c, x, y, z]`` prediction from the unanimity label map."""
+    """The model's float32 ``[c, x, y, z]`` prediction from the unanimity label map.
+
+    Each channel is filled with its background entry of the label table,
+    then given the entry of label k = 1..3 wherever one reused boolean mask
+    says ``unanimous == k``: the same bits as indexing the table, in a
+    fraction of the time.
+
+    The blurred model is then filtered with ``truncate=4.0`` pinned, so that
+    r = int(4 sigma + 0.5) is scipy's kernel radius, and only on the organs'
+    support box: the bounding box of ``unanimous != 0`` grown by r.
+    ``_blur_support`` says why that equals filtering the whole grid.
+    """
     # Before any blur a voxel's prediction depends only on its label: column
     # k of ``table`` is the prediction for label k. Positive delta moves delta
     # of the winner's mass to the other channels; a one-hot winner cannot gain mass.
@@ -163,18 +188,58 @@ def _prediction(unanimous: np.ndarray, model: PredictionModel) -> np.ndarray:
         table = (shifted / shifted.sum(axis=0)).astype(np.float32)
     out = np.empty((N_CHANNELS, *unanimous.shape), dtype=np.float32)
     for c in range(N_CHANNELS):
-        out[c] = table[c][unanimous]
+        out[c].fill(table[c][0])
+    is_k = np.empty(unanimous.shape, dtype=bool)
+    for k in range(1, N_CHANNELS):
+        np.equal(unanimous, k, out=is_k)
+        for c in range(N_CHANNELS):
+            np.copyto(out[c], table[c][k], where=is_k)
+    del is_k
     if model.kind == "blurred":
-        from scipy.ndimage import gaussian_filter  # imported here so that `import voxeval` needs numpy only
-
-        for c in range(N_CHANNELS):  # in place, as gaussian_filter itself runs every pass after the first
-            gaussian_filter(out[c], model.sigma, output=out[c])
-        sums = out[0].astype(np.float64)
-        for c in range(1, N_CHANNELS):
-            sums += out[c]
-        for c in range(N_CHANNELS):  # a non-negative channel over a sum that holds it: already in [0, 1]
-            np.divide(out[c], sums, out=out[c], casting="same_kind")
+        _blur_support(out, unanimous, model.sigma)
     return out
+
+
+def _blur_support(out: np.ndarray, unanimous: np.ndarray, sigma: float) -> None:
+    """Gaussian-filter the one-hot ``out`` and renormalize it per voxel, in place.
+
+    ``truncate=4.0`` is pinned, so r = int(4 sigma + 0.5) is scipy's kernel
+    radius. Only the support box, the bounding box of the organ voxels grown
+    by r, is filtered and normalized; each channel in a copy grown by r
+    again and clipped to the grid. A box voxel's output after the three
+    separable passes reads input within r on each axis, so it never reaches
+    the copy's edge, and where the copy is clipped it ends at the grid edge
+    as the whole-grid filter does. Outside the box every such neighbourhood
+    is constant, background 1 and organs 0, which filters to some c and 0
+    and normalizes to c/c = 1 and 0/c = 0: the one-hot value already there.
+    When the copy would cover the whole grid the channels are filtered in
+    place and normalized everywhere; with no organ voxel nothing changes.
+    """
+    from scipy.ndimage import gaussian_filter  # imported here so that `import voxeval` needs numpy only
+
+    reach = int(4.0 * sigma + 0.5)
+    dims = unanimous.shape
+    occupied = [np.flatnonzero(np.any(unanimous, axis=tuple(b for b in range(3) if b != a))) for a in range(3)]
+    if occupied[0].size == 0:
+        return
+    box = tuple(slice(max(int(i[0]) - reach, 0), min(int(i[-1]) + 1 + reach, n)) for i, n in zip(occupied, dims))
+    halo = tuple(slice(max(b.start - reach, 0), min(b.stop + reach, n)) for b, n in zip(box, dims))
+    if halo == tuple(slice(0, n) for n in dims):
+        box = halo  # the whole grid
+        for c in range(N_CHANNELS):  # in place, as gaussian_filter itself runs every pass after the first
+            gaussian_filter(out[c], sigma, truncate=4.0, output=out[c])
+    else:
+        inner = tuple(slice(b.start - h.start, b.stop - h.start) for b, h in zip(box, halo))
+        for c in range(N_CHANNELS):
+            block = out[c][halo].copy()
+            gaussian_filter(block, sigma, truncate=4.0, output=block)
+            out[c][box] = block[inner]
+            del block  # before the next channel's copy
+    sums = out[0][box].astype(np.float64)
+    for c in range(1, N_CHANNELS):
+        sums += out[c][box]
+    for c in range(N_CHANNELS):  # a non-negative channel over a sum that holds it: already in [0, 1]
+        np.divide(out[c][box], sums, out=out[c][box], casting="same_kind")
 
 
 def _scan_truth(spec: PhantomSpec, labels: list[np.ndarray]) -> PhantomTruth:
@@ -335,6 +400,7 @@ def write_dataset(doc: dict, out_dir) -> Path:
                 p = volumes / f"{case_id}_rater_{r}.nii.gz"
                 write_nifti(LabelVolume(case_spec.geometry, arr), p)
                 rater_paths.append(str(p.relative_to(out)))
+            del labels, arr  # the predictions need only ``unanimous``
             pred_paths = {}
             for name, model in sorted(spec["algorithms"].items()):
                 p = volumes / f"{case_id}_pred_{name}.nii.gz"

@@ -20,7 +20,7 @@ from voxeval.errors import ChannelSumError, ParameterError, ValidationError
 from voxeval.grid import CHANNEL_SUM_TOLERANCE, N_CHANNELS, GridGeometry, LabelVolume, ProbabilityVolume, require_same_grid
 from voxeval.metrics import METRIC_NAMES, CalibrationBins, CaseMetrics
 from voxeval.nifti import DESK_DTYPES, DTYPE_CODES, _write_payload
-from voxeval.phantom import PredictionModel
+from voxeval.phantom import PhantomSpec, PredictionModel
 from voxeval.ranking import METRIC_DIRECTIONS, rank_metric
 from voxeval.stability import BootstrapSummary, RankStats
 
@@ -259,6 +259,18 @@ def compensated_sum_reference(values, block=1 << 20) -> float:
     return math.fsum(
         float(np.sum(flat[i : i + block], dtype=np.float64)) for i in range(0, flat.size, block)
     )
+
+
+def rater_labels_reference(spec: PhantomSpec) -> list[np.ndarray]:
+    """Each rater's label map from one whole-grid float64 grid of squared distances
+    per sphere: the phantom's box-by-box labelling must give the same bytes."""
+    x, y, z = np.ogrid[: spec.geometry.dims[0], : spec.geometry.dims[1], : spec.geometry.dims[2]]
+    out = [np.zeros(spec.geometry.dims, dtype=np.uint8) for _ in spec.rater_deltas]
+    for c, s in spec.spheres.items():
+        dist_sq = (x - s.center[0]) ** 2.0 + (y - s.center[1]) ** 2.0 + (z - s.center[2]) ** 2.0
+        for labels, delta in zip(out, spec.rater_deltas):
+            labels[dist_sq <= (s.radius + delta) ** 2] = c
+    return out
 
 
 def unanimity_one_hot_reference(labels: list[np.ndarray]) -> np.ndarray:

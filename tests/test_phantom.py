@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import apply_model_reference, region_counts, unanimity_one_hot_reference
+from conftest import apply_model_reference, rater_labels_reference, region_counts, unanimity_one_hot_reference
 from voxeval.consensus import derive_regions
 from voxeval.errors import ValidationError
 from voxeval.grid import GridGeometry, LabelVolume, validate_probability_sums
@@ -17,8 +17,10 @@ from voxeval.phantom import (
     PhantomSpec,
     PredictionModel,
     Sphere,
+    _prediction,
     _rater_labels,
     _scan_truth,
+    _unanimous_labels,
     generate,
     parse_spec_document,
     write_dataset,
@@ -128,14 +130,55 @@ def spec_anisotropic(prediction):
     )
 
 
+def spec_corner(prediction=PredictionModel("perfect")):
+    """The organs in one corner of a larger grid: their support box is a small part of it."""
+    return PhantomSpec(
+        geometry=GridGeometry((96, 96, 48), (1.0, 1.0, 1.0)),
+        spheres={1: Sphere((8.0, 8.0, 8.0), 4.0), 2: Sphere((22.0, 8.0, 8.0), 4.0), 3: Sphere((14.0, 24.0, 12.0), 6.0)},
+        rater_deltas=(-1, 0, 1),
+        prediction=prediction,
+    )
+
+
+def spec_faces():
+    """Non-integer centres, five deltas, and spheres that touch grid faces at their largest radius."""
+    return PhantomSpec(
+        geometry=GridGeometry((40, 30, 24), (1.0, 1.0, 1.0)),
+        spheres={
+            1: Sphere((9.5, 8.25, 10.0), 4.5),
+            2: Sphere((10.0, 23.0, 12.0), 3.0),  # y reaches 29, the last plane
+            3: Sphere((31.0, 12.0, 8.0), 5.0),  # x reaches 39 and z reaches 0
+        },
+        rater_deltas=(-2, -1, 0, 2, 3),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec_48(deltas=(-2, -1, 0, 1, 2)), spec_anisotropic(PredictionModel("perfect")), spec_faces()],
+    ids=["48", "anisotropic", "faces"],
+)
+def test_rater_labels_match_the_whole_grid_reference(spec):
+    labels = _rater_labels(spec)
+    expected = rater_labels_reference(spec)
+    assert [l.tobytes() for l in labels] == [e.tobytes() for e in expected]
+
+
+def test_face_spheres_reach_the_grid_faces():
+    widest = _rater_labels(spec_faces())[-1]  # delta 3
+    assert widest[10, 29, 12] == 2
+    assert widest[39, 12, 8] == 3 and widest[31, 12, 0] == 3
+
+
 MODELS = [
     PredictionModel("perfect"),
     *(PredictionModel("miscalibrated", delta=d) for d in (-0.3, 0.0, 0.05, 0.2, 1 / 3, 0.75, 0.9)),
-    *(PredictionModel("blurred", sigma=s) for s in (0.5, 1.5)),
+    # sigma 3 reaches 12 voxels, the anisotropic grid's 12 planes; sigma 10's copy would cover every grid here
+    *(PredictionModel("blurred", sigma=s) for s in (0.5, 1.5, 3.0, 10.0)),
 ]
 
 
-@pytest.mark.parametrize("make_spec", [spec_48, spec_anisotropic])
+@pytest.mark.parametrize("make_spec", [spec_48, spec_anisotropic, spec_corner])
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.kind}-{m.sigma or m.delta:g}")
 def test_prediction_matches_the_one_hot_reference(make_spec, model):
     spec = make_spec(prediction=model)
@@ -155,6 +198,32 @@ def test_blurred_generation_holds_about_two_predictions():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * ph.prediction.channels.nbytes
+
+
+def test_rater_labels_hold_the_label_maps_and_half_a_grid():
+    # One float64 distance per voxel of a sphere's box, not of the whole grid.
+    spec = spec_corner()
+    tracemalloc.start()
+    try:
+        labels = _rater_labels(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(labels) + 0.5) * labels[0].nbytes, peak / labels[0].nbytes
+
+
+def test_blurred_prediction_of_corner_organs_holds_little_beside_itself():
+    # The comparison fill holds one boolean grid; the blur a support-box copy and its float64 sums.
+    import scipy.ndimage  # noqa: F401  imported before tracing, so that the peak holds no module
+
+    unanimous = _unanimous_labels(_rater_labels(spec_corner()))
+    tracemalloc.start()
+    try:
+        pred = _prediction(unanimous, PredictionModel("blurred", sigma=1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * pred.nbytes, peak / pred.nbytes
 
 
 def test_truth_scan_holds_three_boolean_grids():
