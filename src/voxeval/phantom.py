@@ -212,8 +212,7 @@ def _blur_support(out: np.ndarray, unanimous: np.ndarray, sigma: float) -> None:
     as the whole-grid filter does. Outside the box every such neighbourhood
     is constant, background 1 and organs 0, which filters to some c and 0
     and normalizes to c/c = 1 and 0/c = 0: the one-hot value already there.
-    When the copy would cover the whole grid the channels are filtered in
-    place and normalized everywhere; with no organ voxel nothing changes.
+    With no organ voxel nothing changes.
     """
     from scipy.ndimage import gaussian_filter  # imported here so that `import voxeval` needs numpy only
 
@@ -224,17 +223,9 @@ def _blur_support(out: np.ndarray, unanimous: np.ndarray, sigma: float) -> None:
         return
     box = tuple(slice(max(int(i[0]) - reach, 0), min(int(i[-1]) + 1 + reach, n)) for i, n in zip(occupied, dims))
     halo = tuple(slice(max(b.start - reach, 0), min(b.stop + reach, n)) for b, n in zip(box, dims))
-    if halo == tuple(slice(0, n) for n in dims):
-        box = halo  # the whole grid
-        for c in range(N_CHANNELS):  # in place, as gaussian_filter itself runs every pass after the first
-            gaussian_filter(out[c], sigma, truncate=4.0, output=out[c])
-    else:
-        inner = tuple(slice(b.start - h.start, b.stop - h.start) for b, h in zip(box, halo))
-        for c in range(N_CHANNELS):
-            block = out[c][halo].copy()
-            gaussian_filter(block, sigma, truncate=4.0, output=block)
-            out[c][box] = block[inner]
-            del block  # before the next channel's copy
+    inner = tuple(slice(b.start - h.start, b.stop - h.start) for b, h in zip(box, halo))
+    for c in range(N_CHANNELS):  # one channel's filtered copy at a time
+        out[c][box] = gaussian_filter(out[c][halo], sigma, truncate=4.0)[inner]
     sums = out[0][box].astype(np.float64)
     for c in range(1, N_CHANNELS):
         sums += out[c][box]
