@@ -409,6 +409,28 @@ def test_rank_table_missing_column_is_exit_1(tmp_path, capsys):
     assert "crps" in capsys.readouterr().err
 
 
+_HEADER = "algorithm,dsc,confidence,ece,crps\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        (_HEADER, "{path}: no data rows"),
+        (_HEADER + "x,1,2,3,4\nx,5,6,7,8\n", "duplicate algorithm 'x' in {path}"),
+        (_HEADER + "x,1,2,3,4\ny,1,abc,3,4\n", "{path}: bad confidence value 'abc' for 'y'"),
+    ],
+    ids=["missing", "header-only", "duplicate-algorithm", "non-numeric"],
+)
+def test_rank_table_input_errors_are_exit_1_with_their_message(tmp_path, capsys, content, message):
+    src = tmp_path / "agg.csv"
+    if content is not None:
+        src.write_text(content)
+    assert main(["rank-table", str(src), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(path=src) + "\n"
+    assert not (tmp_path / "o").exists()
+
+
 _FAMILY_EXIT_CODES = {errors.ValidationError: 1, errors.VolumeIOError: 2, errors.MetricError: 3, errors.ResourceError: 4, OSError: 2}
 _ERROR_CLASSES = [
     c for _, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, errors.VoxevalError) and c is not errors.VoxevalError
@@ -433,6 +455,54 @@ def test_validate_ok_and_failure(phantom_dir, tmp_path, capsys):
     victim = next((phantom_dir / "volumes").glob("case_001_pred_good*"))
     victim.write_bytes(b"not a volume at all")
     assert main(["validate", str(phantom_dir / "manifest.json")]) == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+@pytest.mark.parametrize(
+    "listed, named, message",
+    [
+        ("case_001_rater_1.nii.gz", "case_001_pred_good.nii.gz", "expected a 3D label volume, found a 4D probability map"),
+        ("case_001_pred_good.nii.gz", "case_001_rater_1.nii.gz", "expected a 4D probability map, found a 3D label volume"),
+    ],
+    ids=["rater-names-a-prediction", "prediction-names-a-label-map"],
+)
+def test_a_volume_of_the_other_kind_is_exit_2_naming_the_file(phantom_dir, tmp_path, capsys, command, listed, named, message):
+    manifest_path = phantom_dir / "kind.json"
+    manifest_path.write_text((phantom_dir / "manifest.json").read_text().replace(listed, named))
+    out = ["--out", str(tmp_path / "r")] if command == "evaluate" else []
+    assert main([command, str(manifest_path), *out]) == 2
+    assert capsys.readouterr().err == f"error: {phantom_dir / 'volumes' / named}: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "victim, message",
+    [("case_002_rater_2.nii.gz", "case case_002: "), ("case_001_pred_mid.nii.gz", "case case_001, algorithm mid: ")],
+    ids=["rater", "prediction"],
+)
+def test_validate_volume_on_another_grid_is_exit_1_naming_case_and_file(phantom_dir, capsys, victim, message):
+    from conftest import random_probability_volume
+    from voxeval.grid import GridGeometry, LabelVolume
+    from voxeval.nifti import write_nifti
+
+    path = phantom_dir / "volumes" / victim
+    if "rater" in victim:
+        volume = LabelVolume(GridGeometry((28, 28, 27), (1, 1, 1)), np.zeros((28, 28, 27), np.uint8))
+    else:
+        volume = random_probability_volume(np.random.default_rng(0), (28, 28, 27))
+    write_nifti(volume, path)
+    assert main(["validate", str(phantom_dir / "manifest.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}geometry mismatch at {path}\n"
+
+
+@pytest.mark.parametrize("parallel_cases", ["1", "2"])
+def test_skip_bad_cases_with_every_case_bad_is_exit_1_and_writes_nothing(phantom_dir, tmp_path, capsys, parallel_cases):
+    for victim in (phantom_dir / "volumes").glob("case_*_rater_1*"):
+        victim.write_bytes(victim.read_bytes()[:100])
+    args = ["evaluate", str(phantom_dir / "manifest.json"), "--out", str(tmp_path / "r"), "--skip-bad-cases"]
+    assert main(args + ["--parallel-cases", parallel_cases]) == 1
+    assert capsys.readouterr().err == "error: no cases evaluated (all skipped?)\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_validate_nan_vox_offset_is_exit_2_naming_file(phantom_dir, capsys):
@@ -491,6 +561,23 @@ def test_phantom_bad_spec_is_exit_1(tmp_path, capsys):
     })
     assert main(["phantom", str(write_spec(tmp_path, spec)), "--out", str(tmp_path / "d")]) == 1
     assert "overlap" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read phantom spec ./spec.json: [Errno 2] No such file or directory: 'spec.json'"),
+        ("not json", "phantom spec ./spec.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["missing", "invalid-json"],
+)
+def test_phantom_unreadable_spec_is_exit_1_naming_the_path_as_given(tmp_path, capsys, monkeypatch, content, message):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "spec.json").write_text(content)
+    assert main(["phantom", "./spec.json", "--out", "d"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "d").exists()
 
 
