@@ -16,7 +16,6 @@ its own code, and any other file error is 2. Input files are never modified.
 
 import argparse
 import csv
-import json
 import platform
 import sys
 import warnings
@@ -37,7 +36,7 @@ from .errors import (
     VoxevalError,
 )
 from .grid import ORGAN_CLASSES, ORGAN_IDS, LabelVolume, ProbabilityVolume
-from .manifest import GROUPS, load_manifest
+from .manifest import GROUPS, load_manifest, read_json
 from .metrics import METRIC_NAMES, CaseMetrics, EvalConfig, evaluate_case
 from .nifti import read_volume
 from .phantom import write_dataset
@@ -104,27 +103,24 @@ def _parse_classes(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _load_label(path) -> LabelVolume:
-    v = read_volume(path)
-    if not isinstance(v, LabelVolume):
-        raise ShapeError(f"{path}: expected a 3D label volume, found a 4D probability map")
-    return v
+_KIND = {LabelVolume: "a 3D label volume", ProbabilityVolume: "a 4D probability map"}
 
 
-def _load_probability(path, renormalize: bool) -> ProbabilityVolume:
+def _load(path, kind, renormalize: bool = False):
+    """The volume at ``path``, which must be of ``kind``: LabelVolume or ProbabilityVolume."""
     v = read_volume(path, renormalize=renormalize)
-    if not isinstance(v, ProbabilityVolume):
-        raise ShapeError(f"{path}: expected a 4D probability map, found a 3D label volume")
+    if not isinstance(v, kind):
+        raise ShapeError(f"{path}: expected {_KIND[kind]}, found {_KIND[type(v)]}")
     return v
 
 
-def _evaluate_one_case(entry, config: RunConfig):
-    """-> ("ok", [CaseMetrics]) or ("skip", case_id, message)."""
+def _evaluate_one_case(entry, config: RunConfig) -> list[CaseMetrics] | dict:
+    """The case's metrics, or under ``skip_bad_cases`` its run_meta.json skip record."""
     try:
-        return ("ok", _case_metrics(entry, config))
+        return _case_metrics(entry, config)
     except VoxevalError as exc:
         if config.skip_bad_cases:
-            return ("skip", entry.case_id, str(exc))
+            return {"case_id": entry.case_id, "reason": str(exc)}
         raise
 
 
@@ -136,7 +132,7 @@ def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
     try:
         raters = []
         for path in entry.rater_annotations:
-            raters.append(_load_label(path))
+            raters.append(_load(path, LabelVolume))
         path = ", ".join(str(p) for p in entry.rater_annotations)
         try:  # the regions depend on the raters only, so every algorithm of the case shares them
             regions = derive_regions(raters, classes=config.classes)
@@ -146,7 +142,7 @@ def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
         out = []
         for name in sorted(entry.algorithm_predictions):
             where, path = f"case {entry.case_id!r}, algorithm {name!r}", entry.algorithm_predictions[name]
-            pred = _load_probability(path, config.renormalize)
+            pred = _load(path, ProbabilityVolume, config.renormalize)
             out.append(evaluate_case(pred, (), config, entry.case_id, name, regions))
             del pred  # free this prediction before the next one is decoded
         return out
@@ -163,9 +159,13 @@ def _evaluate_cases(cases, config: RunConfig, workers: int) -> list:
 
     Each holds one case at a time. A VoxevalError keeps its type and message,
     and the first in case order is raised, as serially. A worker that dies
-    (the out-of-memory killer, a crash) loses every case in flight: that is a
-    ResourceError naming them, or under ``skip_bad_cases`` each runs again
-    alone in a fresh one-worker pool and is skipped only if that worker dies too.
+    (the out-of-memory killer, a crash) breaks the pool and loses every case
+    not yet returned: that is a ResourceError naming them. Under
+    ``skip_bad_cases`` the workers take cases in submission order, so the
+    cases they had started lead the lost ones, at most ``workers`` of them:
+    each of those runs again alone in a fresh one-worker pool and is skipped
+    only if that worker dies too, and the rest run again in one fresh pool of
+    ``workers``, under the same rule.
     """
     import multiprocessing  # imported here so that a serial run loads no process machinery (about 1 MiB)
     from concurrent.futures import ProcessPoolExecutor
@@ -188,8 +188,14 @@ def _evaluate_cases(cases, config: RunConfig, workers: int) -> list:
     finally:
         pool.shutdown(cancel_futures=True)  # after an error, start no case still queued
     if workers == 1:  # the one case, run again alone, killed its worker too
-        return [("skip", cases[0].case_id, f"case {cases[0].case_id!r}: its worker died again, running alone (out of memory?)")]
-    return [_evaluate_cases([e], config, 1)[0] if gone else f.result() for e, f, gone in zip(cases, futures, lost)]
+        reason = f"case {cases[0].case_id!r}: its worker died again, running alone (out of memory?)"
+        return [{"case_id": cases[0].case_id, "reason": reason}]
+    lost_cases = [e for e, gone in zip(cases, lost) if gone]
+    rerun = [_evaluate_cases([e], config, 1)[0] for e in lost_cases[:workers]]
+    if lost_cases[workers:]:
+        rerun += _evaluate_cases(lost_cases[workers:], config, workers)
+    reruns = iter(rerun)
+    return [next(reruns) if gone else f.result() for f, gone in zip(futures, lost)]
 
 
 def run_evaluate(config: RunConfig) -> int:
@@ -200,13 +206,8 @@ def run_evaluate(config: RunConfig) -> int:
     else:
         results = [_evaluate_one_case(e, config) for e in manifest.cases]
 
-    case_metrics: list[CaseMetrics] = []
-    skipped: list[dict] = []
-    for res in results:
-        if res[0] == "ok":
-            case_metrics.extend(res[1])
-        else:
-            skipped.append({"case_id": res[1], "reason": res[2]})
+    skipped = [r for r in results if isinstance(r, dict)]
+    case_metrics = [m for r in results if isinstance(r, list) for m in r]
     if not case_metrics:
         raise ValidationError("no cases evaluated (all skipped?)")
     case_metrics.sort(key=lambda m: (m.case_id, m.algorithm))
@@ -257,12 +258,7 @@ def run_evaluate(config: RunConfig) -> int:
 
 
 def run_phantom(spec_path, out_dir) -> int:
-    try:
-        doc = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read phantom spec {spec_path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise ValidationError(f"phantom spec {spec_path} is not valid JSON: {exc}") from exc
+    doc = read_json(spec_path, "phantom spec")
     try:
         manifest_path = write_dataset(doc, out_dir)
     except (ValidationError, ResourceError) as exc:
@@ -321,14 +317,14 @@ def run_validate(manifest_path) -> int:
     for entry in manifest.cases:
         geometry = None
         for p in entry.rater_annotations:
-            v = _load_label(p)
+            v = _load(p, LabelVolume)
             n_volumes += 1
             if geometry is None:
                 geometry = v.geometry
             elif not geometry.matches(v.geometry):
                 raise ValidationError(f"case {entry.case_id}: geometry mismatch at {p}")
         for name, p in entry.algorithm_predictions.items():
-            v = _load_probability(p, renormalize=False)
+            v = _load(p, ProbabilityVolume)
             n_volumes += 1
             if not geometry.matches(v.geometry):
                 raise ValidationError(f"case {entry.case_id}, algorithm {name}: geometry mismatch at {p}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ChannelSumError, GeometryMismatchError, ShapeError, ValidationError
 
 #: Class ids in channel order. Id 0 is background.
 CLASS_NAMES = ("background", "pancreas", "kidney", "liver")
@@ -84,8 +84,6 @@ class GridGeometry:
 
 
 def require_same_grid(a: GridGeometry, b: GridGeometry, context: str = ""):
-    from .errors import GeometryMismatchError
-
     if not a.matches(b):
         where = f" ({context})" if context else ""
         raise GeometryMismatchError(
@@ -197,8 +195,6 @@ def _diagnose_probability_sums(channels: np.ndarray, renormalize: bool) -> None:
     Each rule rescans the array chunk by chunk, so no grid-sized temporary
     is built: the value rules in ``[c, x, y, z]`` order, the sum rules in
     voxel order."""
-    from .errors import ChannelSumError
-
     values, voxels = channels.reshape(-1), channels.shape[1:]
     flat = values.reshape(channels.shape[0], -1)
 

@@ -67,6 +67,17 @@ def _require(condition: bool, message: str):
         raise ValidationError(message)
 
 
+def read_json(path, what: str):
+    """The UTF-8 JSON document at ``path``; a ValidationError naming ``what`` and
+    ``path``, as passed, if it cannot be read or is not valid JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest file.
 
@@ -75,12 +86,7 @@ def load_manifest(path) -> DatasetManifest:
     inconsistent rater counts, and inconsistent algorithm sets.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "manifest")
     try:
         return DatasetManifest(path, _parse_cases(doc, path.parent))
     except ValidationError as exc:

@@ -433,9 +433,12 @@ def _as_label(arr: np.ndarray, geometry: GridGeometry) -> LabelVolume:
     return LabelVolume(geometry, labels)
 
 
-def _as_probability(arr: np.ndarray, geometry: GridGeometry, renormalize: bool) -> ProbabilityVolume:
-    """The probability map of a decoded, float-typed 4D volume, checked, and renormalized
-    in place if asked: the reader owns ``arr`` until ProbabilityVolume freezes it."""
+def _as_volume(arr: np.ndarray, geometry: GridGeometry, channels: int, renormalize: bool) -> LabelVolume | ProbabilityVolume:
+    """The volume of a decoded array: with no channels its label map, else its probability
+    map, checked, and renormalized in place if asked: the reader owns ``arr`` until
+    ProbabilityVolume freezes it."""
+    if channels == 0:
+        return _as_label(arr, geometry)
     check_channel_sums(arr, renormalize)
     return ProbabilityVolume(geometry, arr)
 
@@ -448,9 +451,7 @@ def read_nifti(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolu
     channel sum instead of rejecting out-of-tolerance sums.
     """
     arr, fields = _read_file(Path(path))
-    if fields["channels"] == 0:
-        return _as_label(arr, fields["geometry"])
-    return _as_probability(arr, fields["geometry"], renormalize)
+    return _as_volume(arr, fields["geometry"], fields["channels"], renormalize)
 
 
 def _nifti_dtype_code(arr: np.ndarray) -> tuple[int, int]:
@@ -528,9 +529,7 @@ def read_desk(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolum
         arr, got = _read_payload(f, dtype, geometry.dims, channels)
     if got < n_elem * dtype.itemsize:
         raise FormatError(f"desk payload has {got // dtype.itemsize} elements, expected {n_elem}")
-    if channels == 0:
-        return _as_label(arr, geometry)
-    return _as_probability(arr, geometry, renormalize)
+    return _as_volume(arr, geometry, channels, renormalize)
 
 
 def read_volume(path, renormalize: bool = False) -> LabelVolume | ProbabilityVolume:

@@ -369,8 +369,7 @@ def write_dataset(doc: dict, out_dir) -> Path:
     whole directory is reproducible byte-for-byte.
     """
     spec = parse_spec_document(doc)
-    for i in range(spec["cases"]):  # a case that fails its checks stops the run before any file is written
-        _case_spec(spec, i)
+    case_specs = [_case_spec(spec, i) for i in range(spec["cases"])]  # every case is checked before any file is written
     out = Path(out_dir)
     volumes = out / "volumes"
 
@@ -378,8 +377,7 @@ def write_dataset(doc: dict, out_dir) -> Path:
     truth_records = {}
     dims = spec["geometry"].dims
     try:
-        for i in range(spec["cases"]):
-            case_spec = _case_spec(spec, i)
+        for i, case_spec in enumerate(case_specs):
             case_id = f"case_{i + 1:03d}"
             labels = _rater_labels(case_spec)
             volumes.mkdir(parents=True, exist_ok=True)  # only once the label grids are held

@@ -50,16 +50,11 @@ class GroupRow:
     flag_counts: dict[str, int]
 
 
-@dataclass(frozen=True)
-class GroupReport:
-    rows: tuple[GroupRow, ...]
-
-
 def _case_group_index(manifest: DatasetManifest) -> dict[str, str]:
     return {c.case_id: c.group for c in manifest.cases}
 
 
-def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> GroupReport:
+def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> tuple[GroupRow, ...]:
     """Per-group and overall case-weighted metric means per algorithm.
 
     The overall row averages over all included cases directly (never a
@@ -85,7 +80,7 @@ def aggregate(case_metrics: list[CaseMetrics], manifest: DatasetManifest) -> Gro
             means[m] = float(mean_in_order(vals)) if vals else None
         flags = {f: sum(len(cm.flagged(f)) for cm in items) for f in FLAG_NAMES}
         rows.append(GroupRow(group, algorithm, len(items), means, flags))
-    return GroupReport(tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,7 @@ def emit(
     ranking: RankingTable,
     bootstrap: BootstrapSummary,
     bubbles: list[dict],
-    groups: GroupReport,
+    groups: tuple[GroupRow, ...],
     correlation: CorrelationMatrix,
     run_meta: dict,
 ) -> list[Path]:
@@ -297,13 +292,13 @@ def emit(
     group_header += [f"{m}_{_DISPLAY[m][1]}_mean" for m in METRIC_NAMES]
     group_header += [f"flags_{_DISPLAY[f]}" for f in FLAG_NAMES]
     group_rows = []
-    for g in groups.rows:
+    for g in groups:
         row = [g.group, g.algorithm, g.n_cases]
         row += [_scaled(m, g.means[m]) for m in METRIC_NAMES]
         row += [g.flag_counts[f] for f in FLAG_NAMES]
         group_rows.append(row)
     csv_path("groups.csv", group_header, group_rows)
-    json_path("groups.json", [asdict(g) for g in groups.rows])
+    json_path("groups.json", [asdict(g) for g in groups])
 
     boot_records = bootstrap_records(bootstrap)
     boot_cols = ["metric", "algorithm", "mean_rank", "std_rank", "median_rank", "ci_low", "ci_high"]

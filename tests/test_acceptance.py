@@ -340,7 +340,7 @@ def test_criterion_9_group_aggregation_identity(tmp_path):
         tuple(CaseEntry(c, g, (tmp_path,), {"u": tmp_path, "v": tmp_path}) for c, g in groups.items()),
     )
     report = aggregate(cms, manifest)
-    rows = {(r.group, r.algorithm): r for r in report.rows}
+    rows = {(r.group, r.algorithm): r for r in report}
     for alg in ("u", "v"):
         values = [cm.mean_dsc for cm in cms if cm.algorithm == alg]
         # identical left-fold reduction: the identity holds exactly

@@ -45,7 +45,7 @@ from voxeval.metrics import (
     predicted_volume,
     rater_volume_distribution,
 )
-from voxeval.nifti import _as_probability
+from voxeval.nifti import _as_volume
 from voxeval.phantom import PhantomSpec, PredictionModel, Sphere, generate
 
 #: 1 and 7 voxels, the default, and None for "larger than the grid".
@@ -611,7 +611,7 @@ def outcome(validate, channels, renormalize):
 def read_in_place(channels, renormalize):
     """What a reader makes of ``channels`` as its own decoded array: checked, and renormalized in place."""
     geometry = GridGeometry(channels.shape[1:], (1.0, 1.0, 1.0))
-    return _as_probability(channels.copy(), geometry, renormalize).channels
+    return _as_volume(channels.copy(), geometry, len(channels), renormalize).channels
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

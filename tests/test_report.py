@@ -29,7 +29,7 @@ def test_single_group_overall_equals_group_row(tmp_path):
         make_case_metrics("c2", "alg", 0.7, 0.8, 0.03, 3.0),
     ]
     report = aggregate(cms, manifest_stub(tmp_path, {"c1": "B", "c2": "B"}))
-    rows = {(r.group, r.algorithm): r for r in report.rows}
+    rows = {(r.group, r.algorithm): r for r in report}
     assert rows[("B", "alg")].means == rows[("overall", "alg")].means
     assert rows[("overall", "alg")].n_cases == 2
 
@@ -40,7 +40,7 @@ def test_overall_is_case_weighted_mean(tmp_path):
     cms += [make_case_metrics(f"c{i}", "alg", 0.6, 0.7, 0.02, 2.0) for i in range(3)]
     groups = {f"a{i}": "A" for i in range(2)} | {f"c{i}": "C" for i in range(3)}
     report = aggregate(cms, manifest_stub(tmp_path, groups))
-    rows = {(r.group, r.algorithm): r for r in report.rows}
+    rows = {(r.group, r.algorithm): r for r in report}
     expected = (2 * 0.9 + 3 * 0.6) / 5  # not the mean of group means (0.75)
     assert math.isclose(rows[("overall", "alg")].means["dsc"], expected, rel_tol=1e-12)
     assert rows[("A", "alg")].means["dsc"] == 0.9
@@ -71,7 +71,7 @@ def test_aggregate_matches_independent_tabulation(tmp_path, rng):
             ns[key] = ns.get(key, 0) + 1
             for m in METRIC_NAMES:
                 sums[(key, m)] = sums.get((key, m), 0.0) + cm.metric_mean(m)
-    for row in report.rows:
+    for row in report:
         key = (row.group, row.algorithm)
         assert row.n_cases == ns[key]
         for m in METRIC_NAMES:
@@ -270,7 +270,7 @@ def test_groups_csv_unit_scaling(tmp_path, rng):
     emit(out, **inputs)
     with open(out / "groups.csv", newline="") as f:
         rows = {(r["group"], r["algorithm"]): r for r in csv.DictReader(f)}
-    g = {(row.group, row.algorithm): row for row in inputs["groups"].rows}
+    g = {(row.group, row.algorithm): row for row in inputs["groups"]}
     for key, row in rows.items():
         assert math.isclose(float(row["dsc_pct_mean"]), g[key].means["dsc"] * 100.0, rel_tol=1e-9)
         assert math.isclose(float(row["ece_x1e3_mean"]), g[key].means["ece"] * 1000.0, rel_tol=1e-9)
