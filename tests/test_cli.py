@@ -749,6 +749,53 @@ def test_under_skip_bad_cases_only_the_case_whose_worker_dies_alone_is_skipped(p
         assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "w" / name).read_bytes(), name
 
 
+def test_after_a_worker_dies_only_the_cases_it_may_have_started_run_alone(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    assert main(["phantom", str(write_spec(tmp_path, dict(PHANTOM_SPEC, cases=8))), "--out", str(tmp_path / "data")]) == 0
+    real_case_metrics, real_pool = cli._case_metrics, concurrent.futures.ProcessPoolExecutor
+    started = tmp_path / "started"  # a file, not a list: forked case workers do not share the parent's memory
+    started.touch()
+    pools = []
+
+    class CountingPool(real_pool):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    def dying_case_metrics(entry, config):
+        with open(started, "a") as f:
+            f.write(entry.case_id + "\n")
+        if entry.case_id == "case_002":
+            os._exit(1)  # as the out-of-memory killer ends a worker: no exception, no result
+        return real_case_metrics(entry, config)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli, "_case_metrics", dying_case_metrics)
+    args = ["evaluate", str(tmp_path / "data" / "manifest.json"), "--iterations", "5", "--skip-bad-cases"]
+    assert main(args + ["--out", str(tmp_path / "r"), "--parallel-cases", "2"]) == 0
+    # the first pool; the two cases it may have started, each alone; the six queued behind them in one pool of two
+    assert pools == [2, 1, 1, 2]
+    assert started.read_text().splitlines().count("case_002") == 2  # once in the pool, once alone
+    skipped = json.loads((tmp_path / "r" / "run_meta.json").read_text())["skipped_cases"]
+    assert skipped == [
+        {
+            "case_id": "case_002",
+            "reason": "case 'case_002': its worker died again, running alone (out of memory?)",
+        }
+    ]
+    # every artifact but run_meta.json is what a serial run without the dead case writes
+    monkeypatch.setattr(cli, "_case_metrics", real_case_metrics)
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    manifest["cases"] = [c for c in manifest["cases"] if c["case_id"] != "case_002"]
+    (tmp_path / "data" / "without.json").write_text(json.dumps(manifest))
+    assert main(["evaluate", str(tmp_path / "data" / "without.json"), "--iterations", "5", "--out", str(tmp_path / "w")]) == 0
+    artifacts = {p.name for p in (tmp_path / "w").iterdir()} - {"run_meta.json"}
+    assert artifacts == {p.name for p in (tmp_path / "r").iterdir()} - {"run_meta.json"}
+    for name in sorted(artifacts):
+        assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "w" / name).read_bytes(), name
+
+
 def test_parallel_cases_without_fork_is_exit_1(phantom_dir, tmp_path, monkeypatch, capsys):
     import multiprocessing
 
