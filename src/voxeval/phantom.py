@@ -369,7 +369,8 @@ def write_dataset(doc: dict, out_dir) -> Path:
     whole directory is reproducible byte-for-byte.
     """
     spec = parse_spec_document(doc)
-    case_specs = [_case_spec(spec, i) for i in range(spec["cases"])]  # every case is checked before any file is written
+    # a case that fails its checks stops the run before any file is written
+    case_specs = [_case_spec(spec, i) for i in range(spec["cases"])]
     out = Path(out_dir)
     volumes = out / "volumes"
 
