@@ -8,7 +8,9 @@ Subcommands:
 * ``phantom``    - synthesize an evaluable phantom dataset from a spec;
 * ``rank-table`` - rank a CSV of pre-aggregated metric values (no
                    volumes involved);
-* ``validate``   - manifest and volume checks only.
+* ``validate``   - read every case as ``evaluate`` does and stop before
+                   the metrics: a fault in a case ends it with
+                   ``evaluate``'s exit code and message.
 
 Exit code 0 is success; each error family in :mod:`voxeval.errors` carries
 its own code, and any other file error is 2. Input files are never modified.
@@ -35,14 +37,14 @@ from .errors import (
     VolumeIOError,
     VoxevalError,
 )
-from .grid import ORGAN_CLASSES, ORGAN_IDS, LabelVolume, ProbabilityVolume
+from .grid import ORGAN_CLASSES, ORGAN_IDS, LabelVolume, ProbabilityVolume, require_same_grid
 from .manifest import GROUPS, load_manifest, read_json
 from .metrics import METRIC_NAMES, CaseMetrics, EvalConfig, evaluate_case
 from .nifti import read_volume
 from .phantom import write_dataset
 from .ranking import composite_ranking, rank_cases
 from .report import aggregate, correlations, emit, manifest_sha256, write_ranking
-from .stability import MAX_ITERATIONS, bootstrap_ranks, bubble_export
+from .stability import bootstrap_ranks, bubble_export, require_iterations_and_seed
 
 EXIT_OK = 0
 
@@ -66,23 +68,18 @@ class RunConfig(EvalConfig):
         return EvalConfig(**{f.name: getattr(self, f.name) for f in fields(EvalConfig)})
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.iterations > MAX_ITERATIONS:
-            raise ValidationError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.parallel_cases < 1:
-            raise ValidationError(f"parallel-cases must be >= 1, got {self.parallel_cases}")
-        if self.parallel_cases > 1:
-            import multiprocessing  # here, like the pool: a serial run loads no process machinery
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise ValidationError(
-                    f"parallel-cases {self.parallel_cases} needs the 'fork' process start method, "
-                    "which this platform does not have; use --parallel-cases 1"
-                )
         try:
+            require_iterations_and_seed(self.iterations, self.seed)
+            if self.parallel_cases < 1:
+                raise ValidationError(f"parallel-cases must be >= 1, got {self.parallel_cases}")
+            if self.parallel_cases > 1:
+                import multiprocessing  # here, like the pool: a serial run loads no process machinery
+
+                if "fork" not in multiprocessing.get_all_start_methods():
+                    raise ValidationError(
+                        f"parallel-cases {self.parallel_cases} needs the 'fork' process start method, "
+                        "which this platform does not have; use --parallel-cases 1"
+                    )
             super().__post_init__()
         except ParameterError as exc:
             raise ValidationError(str(exc)) from exc
@@ -124,10 +121,11 @@ def _evaluate_one_case(entry, config: RunConfig) -> list[CaseMetrics] | dict:
         raise
 
 
-def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
+def _case_metrics(entry, config: RunConfig, score: bool = True) -> list[CaseMetrics]:
     """Every algorithm's metrics for one case; running out of memory is a ResourceError,
     and any other exception that is not a VoxevalError a MetricError naming the case, the
-    algorithm and the path, so that serial runs and forked workers end alike."""
+    algorithm and the path, so that serial runs and forked workers end alike. Without
+    ``score`` the case is read and checked as for its metrics, and none are computed."""
     where, path = f"case {entry.case_id!r}", None
     try:
         raters = []
@@ -143,7 +141,12 @@ def _case_metrics(entry, config: RunConfig) -> list[CaseMetrics]:
         for name in sorted(entry.algorithm_predictions):
             where, path = f"case {entry.case_id!r}, algorithm {name!r}", entry.algorithm_predictions[name]
             pred = _load(path, ProbabilityVolume, config.renormalize)
-            out.append(evaluate_case(pred, (), config, entry.case_id, name, regions))
+            try:  # evaluate_case checks this too, in the same words; validate stops before it
+                require_same_grid(pred.geometry, regions.geometry, "prediction vs consensus regions")
+            except MetricError as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
+            if score:
+                out.append(evaluate_case(pred, (), config, entry.case_id, name, regions))
             del pred  # free this prediction before the next one is decoded
         return out
     except MemoryError as exc:
@@ -160,11 +163,12 @@ def _evaluate_cases(cases, config: RunConfig, workers: int) -> list:
     Each holds one case at a time. A VoxevalError keeps its type and message,
     and the first in case order is raised, as serially. A worker that dies
     (the out-of-memory killer, a crash) breaks the pool and loses every case
-    not yet returned: that is a ResourceError naming them. Under
-    ``skip_bad_cases`` the workers take cases in submission order, so the
-    cases they had started lead the lost ones, at most ``workers`` of them:
-    each of those runs again alone in a fresh one-worker pool and is skipped
-    only if that worker dies too, and the rest run again in one fresh pool of
+    not yet returned. The workers take cases in submission order, so the
+    cases they had started lead the lost ones, at most ``workers`` of them.
+    Without ``skip_bad_cases`` that is a ResourceError naming those as the
+    suspects and counting the queued rest. Under ``skip_bad_cases`` each
+    suspect runs again alone in a fresh one-worker pool and is skipped only
+    if that worker dies too, and the rest run again in one fresh pool of
     ``workers``, under the same rule.
     """
     import multiprocessing  # imported here so that a serial run loads no process machinery (about 1 MiB)
@@ -182,15 +186,16 @@ def _evaluate_cases(cases, config: RunConfig, workers: int) -> list:
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:
             lost = [isinstance(f.exception(), BrokenProcessPool) for f in futures]
+            lost_cases = [e for e, gone in zip(cases, lost) if gone]
             if not config.skip_bad_cases:
-                names = ", ".join(repr(e.case_id) for e, gone in zip(cases, lost) if gone)
-                raise ResourceError(f"a case worker process died (killed out of memory?) before returning cases {names}") from exc
+                suspects = " or ".join(repr(e.case_id) for e in lost_cases[:workers])
+                queued = f"; {len(lost_cases) - workers} queued case(s) lost besides" if lost_cases[workers:] else ""
+                raise ResourceError(f"a case worker process died (killed out of memory?) in case {suspects}{queued}") from exc
     finally:
         pool.shutdown(cancel_futures=True)  # after an error, start no case still queued
     if workers == 1:  # the one case, run again alone, killed its worker too
         reason = f"case {cases[0].case_id!r}: its worker died again, running alone (out of memory?)"
         return [{"case_id": cases[0].case_id, "reason": reason}]
-    lost_cases = [e for e, gone in zip(cases, lost) if gone]
     rerun = [_evaluate_cases([e], config, 1)[0] for e in lost_cases[:workers]]
     if lost_cases[workers:]:
         rerun += _evaluate_cases(lost_cases[workers:], config, workers)
@@ -313,21 +318,10 @@ def run_rank_table(csv_path, out_dir) -> int:
 
 def run_validate(manifest_path) -> int:
     manifest = load_manifest(manifest_path)
-    n_volumes = 0
+    config = RunConfig(manifest=manifest_path, out_dir="")  # evaluate's defaults; nothing is written
     for entry in manifest.cases:
-        geometry = None
-        for p in entry.rater_annotations:
-            v = _load(p, LabelVolume)
-            n_volumes += 1
-            if geometry is None:
-                geometry = v.geometry
-            elif not geometry.matches(v.geometry):
-                raise ValidationError(f"case {entry.case_id}: geometry mismatch at {p}")
-        for name, p in entry.algorithm_predictions.items():
-            v = _load(p, ProbabilityVolume)
-            n_volumes += 1
-            if not geometry.matches(v.geometry):
-                raise ValidationError(f"case {entry.case_id}, algorithm {name}: geometry mismatch at {p}")
+        _case_metrics(entry, config, score=False)
+    n_volumes = sum(len(e.rater_annotations) + len(e.algorithm_predictions) for e in manifest.cases)
     print(
         f"OK: {len(manifest.cases)} cases, {manifest.rater_count} raters, "
         f"{len(manifest.algorithms)} algorithms, {n_volumes} volumes decoded"

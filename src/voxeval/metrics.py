@@ -87,15 +87,19 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.ece_bins < 2:
-            raise ParameterError(f"ece_bins must be >= 2, got {self.ece_bins}")
-        if self.ece_bins > _MAX_BINS:
-            raise ParameterError(f"ece_bins must be <= {_MAX_BINS}, got {self.ece_bins}")
+        _require_bin_count(self.ece_bins)
         _require_sigma_convention(self.sigma_convention)
         if not self.classes or any(c not in ORGAN_CLASSES for c in self.classes):
             raise ParameterError(f"classes must be a non-empty subset of {ORGAN_CLASSES}")
         # the organ means add the classes in this order, so every caller's order gives the same bits
         object.__setattr__(self, "classes", tuple(sorted(set(self.classes))))
+
+
+def _require_bin_count(bins: int) -> None:
+    if bins < 2:
+        raise ParameterError(f"ece_bins must be >= 2, got {bins}")
+    if bins > _MAX_BINS:
+        raise ParameterError(f"ece_bins must be <= {_MAX_BINS}, got {bins}")
 
 
 def _require_sigma_convention(convention: str) -> None:
@@ -206,22 +210,6 @@ class CalibrationBins:
     n_evaluated: int
     value: float
     literal_weighting: bool = False
-
-    def rows(self) -> list[dict]:
-        out = []
-        for m in range(self.bin_count):
-            if self.counts[m]:
-                out.append(
-                    {
-                        "bin": m,
-                        "lo": m / self.bin_count,
-                        "hi": (m + 1) / self.bin_count,
-                        "count": int(self.counts[m]),
-                        "conf": float(self.conf_mean[m]),
-                        "acc": float(self.acc_mean[m]),
-                    }
-                )
-        return out
 
 
 @dataclass
@@ -492,10 +480,7 @@ def confidence_scores(pred: ProbabilityVolume, regions: ConsensusRegions) -> Con
 def _calibrate(pred, raters, class_id, bins, literal, include) -> list[CalibrationBins]:
     """One CalibrationBins per rater for one target (``None`` multiclass, or
     a class id one-vs-rest; see _one_pass), from a single binning."""
-    if bins < 2:
-        raise ParameterError(f"bin count must be >= 2, got {bins}")
-    if bins > _MAX_BINS:
-        raise ParameterError(f"bin count must be <= {_MAX_BINS}, got {bins}")
+    _require_bin_count(bins)
     for r in raters:
         require_same_grid(pred.geometry, r.geometry, "prediction vs rater")
     if include is not None:  # a boolean mask, as the code of a one-bit region view

@@ -210,6 +210,16 @@ def _block_ranks(values: np.ndarray, idx: np.ndarray, direction: str) -> np.ndar
     return ranks
 
 
+def require_iterations_and_seed(iterations: int, seed: int) -> None:
+    """The bootstrap's parameter rule: 1 <= iterations <= MAX_ITERATIONS and seed >= 0."""
+    if iterations < 1:
+        raise ParameterError(f"iterations must be >= 1, got {iterations}")
+    if iterations > MAX_ITERATIONS:
+        raise ParameterError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def bootstrap_ranks(
     case_metrics: list[CaseMetrics],
     iterations: int = 500,
@@ -221,12 +231,7 @@ def bootstrap_ranks(
     SeedSequence((seed, i)) stream, and the result depends on neither
     BLOCK_ITERATIONS nor the caller's threading.
     """
-    if iterations < 1:
-        raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    if iterations > MAX_ITERATIONS:
-        raise ParameterError(f"iterations must be <= {MAX_ITERATIONS}, got {iterations}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    require_iterations_and_seed(iterations, seed)
     if not case_metrics:
         raise ValidationError("no case metrics to bootstrap")
 

@@ -253,6 +253,22 @@ def calibration_reference(pred, raters, class_id, bins, literal=False,
     return out
 
 
+def calibration_rows(result: CalibrationBins) -> list[dict]:
+    """One dict per occupied bin of ``result``: its index, bounds, count and means."""
+    return [
+        {
+            "bin": m,
+            "lo": m / result.bin_count,
+            "hi": (m + 1) / result.bin_count,
+            "count": int(result.counts[m]),
+            "conf": float(result.conf_mean[m]),
+            "acc": float(result.acc_mean[m]),
+        }
+        for m in range(result.bin_count)
+        if result.counts[m]
+    ]
+
+
 def compensated_sum_reference(values, block=1 << 20) -> float:
     """Float64 np.sum of each ``block``-value slice, totals combined with math.fsum."""
     flat = np.asarray(values).reshape(-1)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     calibration_reference,
+    calibration_rows,
     cece_binary_by_voxel_loop,
     cece_by_voxel_loop,
     geom,
@@ -116,7 +117,7 @@ def test_value_bounds_and_bin_bookkeeping(rng):
     result = cece(pred, labels, 10)
     assert 0.0 <= result.value <= 1.0
     assert result.counts.sum() == result.n_evaluated == 125
-    for row in result.rows():
+    for row in calibration_rows(result):
         assert row["lo"] <= row["conf"] <= row["hi"] or math.isclose(row["conf"], row["hi"])
         assert 0.0 <= row["acc"] <= 1.0
 
@@ -210,9 +211,11 @@ def test_binary_mode_per_class(rng):
 def test_bin_count_validation(rng):
     pred = random_probability_volume(rng, (2, 2, 2))
     labels = label_volume(random_label_array(rng, (2, 2, 2)))
-    for bins in (1, 65537):
-        with pytest.raises(ParameterError):
+    for bins, rule in ((1, ">= 2"), (65537, "<= 65536")):  # EvalConfig's rule and words, for --ece-bins
+        with pytest.raises(ParameterError, match=f"^ece_bins must be {rule}, got {bins}$"):
             cece(pred, labels, bins)
+        with pytest.raises(ParameterError, match=f"^ece_bins must be {rule}, got {bins}$"):
+            EvalConfig(ece_bins=bins)
 
 
 def test_sharpening_accurate_predictions_drives_cece_to_zero(rng):

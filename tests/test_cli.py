@@ -475,24 +475,79 @@ def test_a_volume_of_the_other_kind_is_exit_2_naming_the_file(phantom_dir, tmp_p
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
 @pytest.mark.parametrize(
-    "victim, message",
-    [("case_002_rater_2.nii.gz", "case case_002: "), ("case_001_pred_mid.nii.gz", "case case_001, algorithm mid: ")],
-    ids=["rater", "prediction"],
+    "fault, victim, status, message",
+    [
+        (
+            "off-grid",
+            "case_002_rater_2.nii.gz",
+            3,
+            "case 'case_002': grid mismatch (rater 0 vs rater 1): dims (28, 28, 28) vs (28, 28, 27), "
+            "spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 1.0)",
+        ),
+        (
+            "off-grid",
+            "case_002_pred_mid.nii.gz",
+            3,
+            "case 'case_002', algorithm 'mid': grid mismatch (prediction vs consensus regions): "
+            "dims (28, 28, 27) vs (28, 28, 28), spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 1.0)",
+        ),
+        ("truncated", "case_002_pred_mid.nii.gz", 2, "{path}: payload truncated: need 351232 bytes at offset 352, file has 100"),
+        ("MemoryError", "case_002_rater_2.nii.gz", 4, "case 'case_002': out of memory reading or evaluating {path}"),
+        ("MemoryError", "case_002_pred_mid.nii.gz", 4, "case 'case_002', algorithm 'mid': out of memory reading or evaluating {path}"),
+        (
+            "IndexError",
+            "case_002_pred_mid.nii.gz",
+            3,
+            "case 'case_002', algorithm 'mid': unexpected IndexError reading or evaluating {path}: a fault of the program",
+        ),
+    ],
+    ids=["rater-off-grid", "prediction-off-grid", "truncated", "rater-MemoryError", "prediction-MemoryError", "IndexError"],
 )
-def test_validate_volume_on_another_grid_is_exit_1_naming_case_and_file(phantom_dir, capsys, victim, message):
+def test_a_fault_in_a_case_ends_validate_as_it_ends_evaluate(
+    phantom_dir, tmp_path, monkeypatch, capsys, command, fault, victim, status, message
+):
+    import gzip
+
     from conftest import random_probability_volume
     from voxeval.grid import GridGeometry, LabelVolume
     from voxeval.nifti import write_nifti
 
     path = phantom_dir / "volumes" / victim
-    if "rater" in victim:
-        volume = LabelVolume(GridGeometry((28, 28, 27), (1, 1, 1)), np.zeros((28, 28, 27), np.uint8))
+    if fault == "off-grid":
+        if "rater" in victim:
+            volume = LabelVolume(GridGeometry((28, 28, 27), (1, 1, 1)), np.zeros((28, 28, 27), np.uint8))
+        else:
+            volume = random_probability_volume(np.random.default_rng(0), (28, 28, 27))
+        write_nifti(volume, path)
+    elif fault == "truncated":
+        path.write_bytes(gzip.compress(gzip.decompress(path.read_bytes())[: 352 + 100], mtime=0))
     else:
-        volume = random_probability_volume(np.random.default_rng(0), (28, 28, 27))
-    write_nifti(volume, path)
-    assert main(["validate", str(phantom_dir / "manifest.json")]) == 1
-    assert capsys.readouterr().err == f"error: {message}geometry mismatch at {path}\n"
+        real_read = cli.read_volume
+
+        def read_volume(p, **kwargs):
+            if Path(p) == path:
+                raise MemoryError if fault == "MemoryError" else IndexError("a fault of the program")
+            return real_read(p, **kwargs)
+
+        monkeypatch.setattr(cli, "read_volume", read_volume)
+    out = ["--out", str(tmp_path / "r"), "--iterations", "5"] if command == "evaluate" else []
+    assert main([command, str(phantom_dir / "manifest.json"), *out]) == status
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_validate_reads_every_case_and_computes_no_metric(phantom_dir, monkeypatch, capsys):
+    from voxeval import metrics
+
+    def evaluate_case(*args, **kwargs):
+        raise RuntimeError("validate computed a metric")
+
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "evaluate_case", evaluate_case)
+    assert main(["validate", str(phantom_dir / "manifest.json")]) == 0
+    assert capsys.readouterr().out == "OK: 3 cases, 3 raters, 3 algorithms, 18 volumes decoded\n"
 
 
 @pytest.mark.parametrize("parallel_cases", ["1", "2"])
@@ -698,19 +753,23 @@ def test_a_case_error_ends_alike_in_forked_workers(phantom_dir, tmp_path, capsys
 
 
 def test_a_case_worker_that_dies_is_exit_4_naming_the_lost_cases(phantom_dir, tmp_path, monkeypatch, capsys):
-    real_case_metrics = cli._case_metrics
+    import time
 
     def dying_case_metrics(entry, config):
         if entry.case_id == "case_002":
             os._exit(1)  # as the out-of-memory killer ends a worker: no exception, no result
-        return real_case_metrics(entry, config)
+        time.sleep(60)  # case_001 is still running when its pool breaks, and the broken pool kills its worker
 
     monkeypatch.setattr(cli, "_case_metrics", dying_case_metrics)  # the forked workers inherit the patch
     args = ["evaluate", str(phantom_dir / "manifest.json"), "--iterations", "5", "--parallel-cases", "2"]
+    started = time.monotonic()
     assert main(args + ["--out", str(tmp_path / "r")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: a case worker process died") and err.count("\n") == 1
-    assert "'case_002'" in err and "Traceback" not in err
+    assert time.monotonic() - started < 30
+    # the two workers may have started case_001 and case_002; case_003 was still queued, and is only counted
+    assert capsys.readouterr().err == (
+        "error: a case worker process died (killed out of memory?) in case 'case_001' or 'case_002'; "
+        "1 queued case(s) lost besides\n"
+    )
     assert not (tmp_path / "r").exists()
 
 
